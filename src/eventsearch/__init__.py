@@ -6,6 +6,8 @@ embedding neighbors, and rank items with an embedding-weighted tf-idf
 (or BM25) score over an inverted index.
 """
 
+import logging
+
 from .corpus import (
     ItemDocument,
     MonthlyCorpus,
@@ -28,6 +30,9 @@ from .evaluation import RecallReport, recall_increase
 from .expansion import ExpandedQuery, StopwordList, expand_query, seed_only_query
 from .index import InvertedIndex, build_index, load_index, save_index
 from .ranking import Bm25, RankedResult, TfIdf, retrieve, score_document
+
+# the library stays silent unless the application configures logging
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "Bm25",

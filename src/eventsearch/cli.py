@@ -30,52 +30,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
-
-
-def _expansion_k(text: str) -> int:
-    value = int(text)
-    if not 1 <= value <= 4:
-        raise argparse.ArgumentTypeError(f"k must be in 1..4, got {text}")
-    return value
-
-
-def _open_unit_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be strictly between 0 and 1, got {text}")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
-
-
-def _closed_unit_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
-    return value
-
-
 def _add_expansion_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=_expansion_k, default=4,
+    parser.add_argument("--k", type=int, default=4,
                         help="expansion candidates per seed term, 1..4 (default 4)")
-    parser.add_argument("--min-sim", type=_open_unit_float, default=0.6,
+    parser.add_argument("--min-sim", type=float, default=0.6,
                         help="similarity threshold, strict (default 0.6)")
     parser.add_argument("--stopwords", metavar="FILE",
                         help="stop word file, one lowercase word per line (default: built-in)")
@@ -83,10 +41,10 @@ def _add_expansion_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_scorer_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scorer", choices=("tfidf", "bm25"), default="tfidf")
-    parser.add_argument("--threshold", type=_nonnegative_float, default=0.0,
+    parser.add_argument("--threshold", type=float, default=0.0,
                         help="keep documents scoring strictly above this (default 0)")
-    parser.add_argument("--bm25-k1", type=_positive_float, default=1.2)
-    parser.add_argument("--bm25-b", type=_closed_unit_float, default=0.75)
+    parser.add_argument("--bm25-k1", type=float, default=1.2)
+    parser.add_argument("--bm25-b", type=float, default=0.75)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,20 +60,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="TSV corpus file")
     p.add_argument("--month", help="YYYY-MM selector when the corpus spans several months")
     p.add_argument("--output", required=True, help="vectors file (word2vec text format)")
-    p.add_argument("--dim", type=_positive_int, default=50)
-    p.add_argument("--window", type=_positive_int, default=4)
-    p.add_argument("--negatives", type=_positive_int, default=5)
-    p.add_argument("--epochs", type=_positive_int, default=5)
-    p.add_argument("--lr", type=_positive_float, default=0.025, help="initial learning rate")
-    p.add_argument("--lr-final", type=_positive_float, default=1e-4)
-    p.add_argument("--min-count", type=_positive_int, default=2)
+    p.add_argument("--dim", type=int, default=50)
+    p.add_argument("--window", type=int, default=4)
+    p.add_argument("--negatives", type=int, default=5)
+    p.add_argument("--epochs", type=int, default=5)
+    p.add_argument("--lr", type=float, default=0.025, help="initial learning rate")
+    p.add_argument("--lr-final", type=float, default=1e-4)
+    p.add_argument("--min-count", type=int, default=2)
     p.add_argument("--seed", type=int, default=42, help="RNG seed for reproducible training")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("neighbors", help="list nearest vocabulary terms for a word")
     p.add_argument("--model", required=True, help="vectors file")
     p.add_argument("--word", required=True)
-    p.add_argument("--k", type=_positive_int, default=4)
+    p.add_argument("--k", type=int, default=4)
     p.add_argument("--min-sim", type=float, default=0.6)
     p.set_defaults(func=cmd_neighbors)
 
@@ -135,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True, help="index file")
     p.add_argument("--seed", required=True, help="seed keywords")
     p.add_argument("--model", help="vectors file; omit to search with the seed terms only")
-    p.add_argument("--limit", type=_positive_int, help="truncate the result list")
+    p.add_argument("--limit", type=int, help="truncate the result list")
     _add_expansion_flags(p)
     _add_scorer_flags(p)
     p.set_defaults(func=cmd_search)
@@ -201,8 +159,6 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
-    documents = _read_documents(args.input)
-    part = _pick_partition(segment_by_month(documents), args.month)
     cfg = TrainConfig(
         dim=args.dim,
         window=args.window,
@@ -213,6 +169,8 @@ def cmd_train(args) -> int:
         min_count=args.min_count,
         rng_seed=args.seed,
     )
+    documents = _read_documents(args.input)
+    part = _pick_partition(segment_by_month(documents), args.month)
     model = train(part, cfg)
     save_vectors(model, args.output)
     log.info(
@@ -249,12 +207,12 @@ def cmd_index(args) -> int:
 
 
 def cmd_search(args) -> int:
-    index = load_index(args.index)
     if args.model:
         model = load_vectors(args.model)
         query = expand_query([args.seed], model, _stopwords(args), k=args.k, min_sim=args.min_sim)
     else:
         query = seed_only_query([args.seed], _stopwords(args), k=args.k, min_sim=args.min_sim)
+    index = load_index(args.index)
     results = retrieve(index, query, _scorer(args), threshold=args.threshold, limit=args.limit)
     if results:
         print(format_results(results))

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
@@ -24,10 +23,9 @@ from .errors import (
     OutOfVocabulary,
     ZeroVector,
 )
+from .textfile import PathOrFile, read_lines, writer
 
 NOISE_POWER = 0.75
-
-PathOrFile = Union[str, Path, IO[str]]
 
 
 @dataclass(frozen=True)
@@ -127,6 +125,8 @@ def most_similar(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if math.isnan(min_sim):
+        raise ValueError("min_sim must be a number, got nan")
     if term not in model:
         raise OutOfVocabulary(term)
     query_vec = model._vectors[term]
@@ -228,47 +228,27 @@ def train(corpus: MonthlyCorpus, cfg: TrainConfig | None = None) -> EmbeddingMod
     )
 
 
-def _open(dest: PathOrFile, mode: str):
-    if isinstance(dest, (str, Path)):
-        return open(dest, mode, encoding="utf-8", newline="\n"), True
-    return dest, False
-
-
 def save_vectors(model: EmbeddingModel, dest: PathOrFile) -> None:
     """Write the model in word2vec text format.
 
     Header line is "<vocab_size> <dim>"; each row is the word followed by
     its components as shortest round-trip decimals, space-separated.
     """
-    handle, owned = _open(dest, "w")
-    try:
+    with writer(dest) as handle:
         handle.write(f"{len(model)} {model.dim}\n")
         for term in model.terms:
             components = " ".join(repr(float(c)) for c in model._vectors[term])
             handle.write(f"{term} {components}\n")
-    finally:
-        if owned:
-            handle.close()
 
 
 def load_vectors(source: PathOrFile, month_key: MonthKey | None = None) -> EmbeddingModel:
     """Read a word2vec text file back into an EmbeddingModel.
 
     Raises FormatError (with the offending line number) on malformed
-    content, and DimensionMismatch when a row's component count differs
-    from the header.
+    content, including nan and inf components, and DimensionMismatch when
+    a row's component count differs from the header.
     """
-    handle, owned = _open(source, "r")
-    try:
-        lines = handle.read().split("\n")
-    finally:
-        if owned:
-            handle.close()
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise FormatError("empty vector file", line=1)
-
+    lines = read_lines(source, "vector")
     header = lines[0].split(" ")
     if len(header) != 2:
         raise FormatError(f"header must be '<vocab_size> <dim>', got {lines[0]!r}", line=1)
@@ -296,7 +276,10 @@ def load_vectors(source: PathOrFile, month_key: MonthKey | None = None) -> Embed
                 f"line {lineno}: row has {len(fields) - 1} components, header says {dim}"
             )
         try:
-            vectors[word] = np.array([float(c) for c in fields[1:]], dtype=np.float64)
+            components = [float(c) for c in fields[1:]]
         except ValueError:
             raise FormatError(f"non-numeric vector component in row {word!r}", line=lineno) from None
+        if not all(map(math.isfinite, components)):
+            raise FormatError(f"non-finite vector component in row {word!r}", line=lineno)
+        vectors[word] = np.array(components, dtype=np.float64)
     return EmbeddingModel(vectors, dim=dim, month_key=month_key)

@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
-from .corpus import tokenize
+from .corpus import format_month, tokenize
 from .embedding import EmbeddingModel, most_similar, sim
 from .errors import AllStopwords, EmptySeed, NotInQuery
 
@@ -102,13 +102,24 @@ def normalize_seed(seed: Iterable[str]) -> list[str]:
     return ordered
 
 
+def _check_expansion_params(k: int, min_sim: float) -> None:
+    if not 1 <= k <= 4:
+        raise ValueError(f"k must be in 1..4, got {k}")
+    if not 0.0 < min_sim < 1.0:
+        raise ValueError(f"min_sim must be in (0, 1), got {min_sim}")
+
+
 def seed_only_query(
     seed: Iterable[str],
     stopwords: StopwordList | None = None,
     k: int = DEFAULT_K,
     min_sim: float = DEFAULT_MIN_SIM,
 ) -> ExpandedQuery:
-    """Normalized query with an empty expansion map (no model involved)."""
+    """Normalized query with an empty expansion map (no model involved).
+
+    k and min_sim are only recorded, but must be valid for expand_query.
+    """
+    _check_expansion_params(k, min_sim)
     stopwords = stopwords if stopwords is not None else StopwordList.built_in()
     terms = normalize_seed(seed)
     if not terms:
@@ -135,10 +146,7 @@ def expand_query(
     term is a stop word. Seed terms missing from the vocabulary contribute
     no candidates but stay in the query.
     """
-    if not 1 <= k <= 4:
-        raise ValueError(f"k must be in 1..4, got {k}")
-    if not 0.0 < min_sim < 1.0:
-        raise ValueError(f"min_sim must be in (0, 1), got {min_sim}")
+    _check_expansion_params(k, min_sim)
     stopwords = stopwords if stopwords is not None else StopwordList.built_in()
     terms = normalize_seed(seed)
     if not terms:
@@ -149,9 +157,9 @@ def expand_query(
         raise AllStopwords(f"every seed term is a stop word: {terms}")
 
     in_vocab = [t for t in content_terms if t in model]
+    month = "" if model.month_key is None else f"{format_month(model.month_key)} "
     for missing in (t for t in content_terms if t not in model):
-        log.warning("seed term %r not in %s vocabulary, skipping expansion for it",
-                    missing, model.month_key)
+        log.warning("seed term %r not in %svocabulary, skipping expansion for it", missing, month)
 
     candidates: set[str] = set()
     for term in in_vocab:

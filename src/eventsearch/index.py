@@ -8,17 +8,15 @@ from __future__ import annotations
 import math
 import re
 from datetime import date
-from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import Iterable
 
-from .corpus import ItemDocument, MonthKey, MonthlyCorpus, format_month, tokenize
-from .errors import DuplicateDocumentId, FormatError, UnknownDocument
+from .corpus import ItemDocument, MonthKey, MonthlyCorpus, format_month, parse_month, tokenize
+from .errors import DuplicateDocumentId, FormatError
+from .textfile import PathOrFile, read_lines, writer
 
-PathOrFile = Union[str, Path, IO[str]]
-
-_TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
-# doc_ids travel through space- and comma-separated fields on disk
-_SERIALIZABLE_ID = re.compile(r"[^\s:,]+")
+FORMAT = "INDEXv2"
+# doc_ids travel through space-separated fields on disk
+_SERIALIZABLE_ID = re.compile(r"\S+")
 
 
 class InvertedIndex:
@@ -45,12 +43,6 @@ class InvertedIndex:
         if not self.doc_store:
             return 0.0
         return sum(len(d.tokens) for d in self.doc_store.values()) / len(self.doc_store)
-
-    def tf(self, doc_id: str, term: str) -> int:
-        """Raw occurrence count of term in the document's token list."""
-        if doc_id not in self.doc_store:
-            raise UnknownDocument(doc_id)
-        return self.doc_store[doc_id].tokens.count(term)
 
     def idf(self, term: str) -> float:
         """ln((N + 1) / (df + 1)) + 1; smoothed, strictly positive."""
@@ -83,27 +75,20 @@ def build_index(corpus: MonthlyCorpus) -> InvertedIndex:
     return InvertedIndex(corpus.month_key, postings, doc_store)
 
 
-def _open(dest: PathOrFile, mode: str):
-    if isinstance(dest, (str, Path)):
-        return open(dest, mode, encoding="utf-8", newline="\n"), True
-    return dest, False
-
-
 def save_index(index: InvertedIndex, dest: PathOrFile) -> None:
     """Write the index as a single portable UTF-8 file.
 
-    Line 1 is "INDEXv1 <year>-<month> N"; then one "D" line per document
-    with its tokens (prefixed by how many of them came from the category),
-    then one "T" line per term with df and ascending doc_id:tf postings.
-    doc_ids that contain whitespace, ':' or ',' cannot be represented and
+    Line 1 is "INDEXv2 <year>-<month> N"; then one "D" line per document
+    with its tokens, prefixed by how many of them came from the category.
+    Postings are not stored: load_index rebuilds them from the tokens.
+    doc_ids that are empty or contain whitespace cannot be represented and
     raise FormatError.
     """
     for doc_id in index.doc_store:
         if not _SERIALIZABLE_ID.fullmatch(doc_id):
             raise FormatError(f"doc_id {doc_id!r} cannot be serialized in index format")
-    handle, owned = _open(dest, "w")
-    try:
-        handle.write(f"INDEXv1 {format_month(index.month_key)} {index.doc_count}\n")
+    with writer(dest) as handle:
+        handle.write(f"{FORMAT} {format_month(index.month_key)} {index.doc_count}\n")
         for doc in index.doc_store.values():
             category_tokens = len(tokenize(doc.category, ""))
             token_list = " ".join(doc.tokens)
@@ -111,21 +96,17 @@ def save_index(index: InvertedIndex, dest: PathOrFile) -> None:
             handle.write(
                 f"D {doc.doc_id} {doc.sold_date.isoformat()} {category_tokens}{sep}{token_list}\n"
             )
-        for term in sorted(index.postings):
-            plist = index.postings[term]
-            pairs = ",".join(f"{doc_id}:{count}" for doc_id, count in plist)
-            handle.write(f"T {term} {len(plist)} {pairs}\n")
-    finally:
-        if owned:
-            handle.close()
 
 
 def _parse_doc_line(line: str, lineno: int, month_key: MonthKey) -> ItemDocument:
     fields = line.split(" ")
-    if len(fields) < 4:
-        raise FormatError(f"document line needs at least 4 fields, got {len(fields)}", line=lineno)
+    if fields[0] != "D" or len(fields) < 4:
+        raise FormatError(f"expected 'D <doc_id> <date> <category count> <tokens>', got {line!r}",
+                          line=lineno)
     _, doc_id, date_text, cat_count_text = fields[:4]
     tokens = fields[4:]
+    if not _SERIALIZABLE_ID.fullmatch(doc_id):
+        raise FormatError(f"invalid doc_id {doc_id!r}", line=lineno)
     try:
         sold = date.fromisoformat(date_text)
     except ValueError:
@@ -140,9 +121,8 @@ def _parse_doc_line(line: str, lineno: int, month_key: MonthKey) -> ItemDocument
         raise FormatError(f"invalid category token count {cat_count_text!r}", line=lineno) from None
     if not 0 <= cat_count <= len(tokens):
         raise FormatError(f"category token count {cat_count} out of range", line=lineno)
-    for token in tokens:
-        if not _TOKEN.fullmatch(token) or token != token.lower():
-            raise FormatError(f"invalid token {token!r}", line=lineno)
+    if tokenize("", " ".join(tokens)) != tokens:
+        raise FormatError(f"tokens are not in normalized form: {tokens}", line=lineno)
     # raw category/title text is not stored; rebuild normalized forms from tokens
     category = " ".join(tokens[:cat_count])
     title = " ".join(tokens[cat_count:])
@@ -150,27 +130,19 @@ def _parse_doc_line(line: str, lineno: int, month_key: MonthKey) -> ItemDocument
 
 
 def load_index(source: PathOrFile) -> InvertedIndex:
-    """Read an index file back, validating structure and cross-references."""
-    handle, owned = _open(source, "r")
-    try:
-        lines = handle.read().split("\n")
-    finally:
-        if owned:
-            handle.close()
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise FormatError("empty index file", line=1)
-
+    """Read an index file back, validating every line, and rebuild its postings."""
+    lines = read_lines(source, "index")
     header = lines[0].split(" ")
-    if len(header) != 3 or header[0] != "INDEXv1":
-        raise FormatError(f"expected 'INDEXv1 <year>-<month> N', got {lines[0]!r}", line=1)
-    match = re.fullmatch(r"(\d{4})-(\d{2})", header[1])
-    if match is None:
-        raise FormatError(f"invalid month {header[1]!r}", line=1)
-    month_key = (int(match.group(1)), int(match.group(2)))
-    if not 1 <= month_key[1] <= 12:
-        raise FormatError(f"invalid month {header[1]!r}", line=1)
+    if header[0] == "INDEXv1":
+        raise FormatError(
+            "index format v1 is no longer read; rebuild the file with 'eventsearch index'", line=1
+        )
+    if len(header) != 3 or header[0] != FORMAT:
+        raise FormatError(f"expected '{FORMAT} <year>-<month> N', got {lines[0]!r}", line=1)
+    try:
+        month_key = parse_month(header[1])
+    except ValueError as exc:
+        raise FormatError(str(exc), line=1) from None
     try:
         doc_count = int(header[2])
     except ValueError:
@@ -178,51 +150,14 @@ def load_index(source: PathOrFile) -> InvertedIndex:
     if doc_count < 0:
         raise FormatError(f"invalid document count {doc_count}", line=1)
 
-    doc_store: dict[str, ItemDocument] = {}
-    postings: dict[str, list[tuple[str, int]]] = {}
-    lineno = 1
-    rest = lines[1:]
-    pos = 0
-    while pos < len(rest) and rest[pos].startswith("D "):
-        lineno += 1
-        doc = _parse_doc_line(rest[pos], lineno, month_key)
-        if doc.doc_id in doc_store:
+    documents: dict[str, ItemDocument] = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        doc = _parse_doc_line(line, lineno, month_key)
+        if doc.doc_id in documents:
             raise FormatError(f"duplicate doc_id {doc.doc_id!r}", line=lineno)
-        doc_store[doc.doc_id] = doc
-        pos += 1
-    if len(doc_store) != doc_count:
+        documents[doc.doc_id] = doc
+    if len(documents) != doc_count:
         raise FormatError(
-            f"header promises {doc_count} documents, found {len(doc_store)}", line=lineno + 1
+            f"header promises {doc_count} documents, found {len(documents)}", line=len(lines) + 1
         )
-    while pos < len(rest):
-        lineno += 1
-        line = rest[pos]
-        pos += 1
-        fields = line.split(" ")
-        if len(fields) != 4 or fields[0] != "T":
-            raise FormatError(f"expected 'T <term> <df> <postings>', got {line!r}", line=lineno)
-        _, term, df_text, pairs_text = fields
-        if term in postings:
-            raise FormatError(f"duplicate term {term!r}", line=lineno)
-        try:
-            df = int(df_text)
-        except ValueError:
-            raise FormatError(f"invalid df {df_text!r}", line=lineno) from None
-        plist: list[tuple[str, int]] = []
-        for pair in pairs_text.split(","):
-            doc_id, sep, count_text = pair.partition(":")
-            if not sep or doc_id not in doc_store:
-                raise FormatError(f"bad posting {pair!r}", line=lineno)
-            try:
-                count = int(count_text)
-            except ValueError:
-                raise FormatError(f"bad posting tf {pair!r}", line=lineno) from None
-            if count < 1:
-                raise FormatError(f"bad posting tf {pair!r}", line=lineno)
-            if plist and doc_id <= plist[-1][0]:
-                raise FormatError(f"postings not ascending at {pair!r}", line=lineno)
-            plist.append((doc_id, count))
-        if df != len(plist):
-            raise FormatError(f"df {df} disagrees with {len(plist)} postings", line=lineno)
-        postings[term] = plist
-    return InvertedIndex(month_key, postings, doc_store)
+    return build_index(MonthlyCorpus(month_key, tuple(documents.values())))

@@ -28,7 +28,7 @@ class Bm25:
     b: float = 0.75
 
     def __post_init__(self):
-        if self.k1 <= 0:
+        if not self.k1 > 0:
             raise ValueError(f"k1 must be > 0, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
@@ -85,8 +85,10 @@ def retrieve(
 ) -> list[RankedResult]:
     """Candidates matching any query term, kept when score > threshold,
     sorted by score descending with doc_id breaking ties."""
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     results = [
         score_document(index, doc_id, query, scorer)
         for doc_id in index.candidate_docs(query.all_terms())

@@ -196,5 +196,5 @@ def test_criterion_8_format_round_trips():
     with pytest.raises(DimensionMismatch, match="line 3"):
         load_vectors(io.StringIO("2 2\na 1.0 2.0\nb 1.0 2.0 3.0\n"))
     with pytest.raises(FormatError) as truncated:
-        load_index(io.StringIO("INDEXv1 2018-02 5\nD d1 2018-02-01 0 a\n"))
-    assert truncated.value.line is not None
+        load_index(io.StringIO("INDEXv2 2018-02 5\nD d1 2018-02-01 0 a\n"))
+    assert truncated.value.line == 3

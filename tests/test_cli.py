@@ -227,6 +227,33 @@ class TestExitCodes:
         assert code == 1
         assert "1..4" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["neighbors", "--model", "{vec}", "--word", "valentine", "--min-sim", "nan"],
+             "min_sim"),
+            (["neighbors", "--model", "{vec}", "--word", "valentine", "--k", "0"], "k must be"),
+            (["search", "--index", "{idx}", "--seed", "valentine", "--k", "9"], "1..4"),
+            (["search", "--index", "{idx}", "--seed", "valentine", "--min-sim", "1.5"], "min_sim"),
+            (["search", "--index", "{idx}", "--seed", "valentine", "--limit", "0"], "limit"),
+            (["search", "--index", "{idx}", "--seed", "valentine", "--threshold", "-1"],
+             "threshold"),
+            (["search", "--index", "{idx}", "--seed", "valentine", "--scorer", "bm25",
+              "--bm25-b", "2"], "b must be"),
+            (["train", "--input", "{tsv}", "--output", "{out}", "--dim", "0"], "dim"),
+            (["train", "--input", "{tsv}", "--output", "{out}", "--lr", "-1"], "lr_"),
+        ],
+    )
+    def test_library_rejects_flag_value(self, workspace, capsys, argv, message):
+        paths = {"vec": workspace / "feb.vec", "idx": workspace / "feb.idx",
+                 "tsv": workspace / "corpus.tsv", "out": workspace / "out.vec"}
+        run(capsys, "index", "--input", str(paths["tsv"]), "--month", "2018-02",
+            "--output", str(paths["idx"]))
+        code, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
+        assert code == 1
+        assert out == ""
+        assert message in err
+
     def test_missing_input_file(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "index", "--input", str(tmp_path / "nope.tsv"),

@@ -143,6 +143,11 @@ class TestMostSimilar:
         with pytest.raises(ValueError):
             most_similar(model, "q", k=0, min_sim=0.6)
 
+    def test_nan_min_sim_rejected(self):
+        model = model_from(FIXTURE)
+        with pytest.raises(ValueError):
+            most_similar(model, "q", k=2, min_sim=math.nan)
+
 
 class TestVectorFileFormat:
     def test_header_line(self):
@@ -198,6 +203,36 @@ class TestVectorFileFormat:
     def test_empty_file(self):
         with pytest.raises(FormatError):
             load_vectors(io.StringIO(""))
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("2 2\na nan 1.0\nb 1.0 2.0\n", 2),
+            ("2 2\na 1.0 2.0\nb inf 2.0\n", 3),
+            ("1 2\na 1.0 -inf\n", 2),
+        ],
+    )
+    def test_non_finite_component(self, text, line):
+        with pytest.raises(FormatError) as excinfo:
+            load_vectors(io.StringIO(text))
+        assert excinfo.value.line == line
+
+    def test_cut_inside_last_line(self):
+        # the complete row is "b 1.0 2.25\n"; without its newline it is known to be cut
+        with pytest.raises(FormatError) as excinfo:
+            load_vectors(io.StringIO("2 2\na 1.0 2.0\nb 1.0 2.2"))
+        assert excinfo.value.line == 3
+
+    def test_failed_save_keeps_old_file(self, tmp_path):
+        path = tmp_path / "m.vec"
+        save_vectors(model_from(FIXTURE), path)
+        before = path.read_bytes()
+        model = model_from(FIXTURE)
+        model._vectors["b"] = None  # rows before "b" are written, then the write raises
+        with pytest.raises(TypeError):
+            save_vectors(model, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.vec"]
 
 
 class TestTrain:

@@ -1,6 +1,10 @@
 """Query expansion: candidate selection, weight merging, and delta."""
 
+import logging
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -112,6 +116,32 @@ class TestExpandQuery:
         with pytest.raises(ValueError):
             expand_query(["jewelry"], model, NO_STOPS, min_sim=min_sim)
 
+    def test_oov_warning_names_month_only_when_known(self, caplog, monkeypatch):
+        # undo what an in-process CLI run left on the package logger
+        logger = logging.getLogger("eventsearch")
+        monkeypatch.setattr(logger, "handlers", [])
+        monkeypatch.setattr(logger, "propagate", True)
+        caplog.set_level(logging.WARNING, logger="eventsearch")
+        expand_query(["zzz jewelry"], model_from(JEWELRY_FIXTURE), NO_STOPS)
+        dated = EmbeddingModel(model_from(JEWELRY_FIXTURE)._vectors, dim=2, month_key=(2018, 2))
+        expand_query(["zzz jewelry"], dated, NO_STOPS)
+        assert [r.getMessage() for r in caplog.records] == [
+            "seed term 'zzz' not in vocabulary, skipping expansion for it",
+            "seed term 'zzz' not in 2018-02 vocabulary, skipping expansion for it",
+        ]
+
+    def test_library_writes_nothing_to_stderr(self, capfd):
+        # a fresh interpreter has no logging set up, unlike this test process
+        script = (
+            "import numpy as np\n"
+            "from eventsearch import EmbeddingModel, expand_query\n"
+            "model = EmbeddingModel({'a': np.array([1.0, 0.0])}, dim=2)\n"
+            "expand_query(['zzz a'], model)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        assert subprocess.run([sys.executable, "-c", script], env=env, timeout=60).returncode == 0
+        assert capfd.readouterr().err == ""
+
 
 class TestDelta:
     def test_seed_term_is_one(self):
@@ -218,6 +248,11 @@ class TestSeedOnlyQuery:
     def test_empty_seed(self):
         with pytest.raises(EmptySeed):
             seed_only_query([""], NO_STOPS)
+
+    @pytest.mark.parametrize("k, min_sim", [(0, 0.6), (5, 0.6), (4, 0.0), (4, 1.0), (4, math.nan)])
+    def test_same_parameter_checks_as_expansion(self, k, min_sim):
+        with pytest.raises(ValueError):
+            seed_only_query(["valentines"], NO_STOPS, k=k, min_sim=min_sim)
 
 
 class TestStopwordList:

@@ -6,10 +6,12 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eventsearch.corpus import ItemDocument, MonthlyCorpus, segment_by_month
-from eventsearch.errors import DuplicateDocumentId, FormatError, UnknownDocument
-from eventsearch.index import build_index, load_index, save_index
+from eventsearch.errors import DuplicateDocumentId, FormatError
+from eventsearch.index import InvertedIndex, build_index, load_index, save_index
 
 from util import corpus_from_token_lists
 
@@ -38,7 +40,7 @@ class TestBuildIndex:
     def test_single_token_doc(self):
         index = build_index(corpus_from_token_lists([["x"]]))
         assert index.doc_freq["x"] == 1
-        assert index.tf("d0000", "x") == 1
+        assert index.postings["x"] == [("d0000", 1)]
 
     def test_posting_tf_sums_to_token_count(self):
         rng = np.random.default_rng(17)
@@ -66,18 +68,6 @@ class TestBuildIndex:
         corpus = MonthlyCorpus((2018, 2), (doc, doc))
         with pytest.raises(DuplicateDocumentId):
             build_index(corpus)
-
-
-class TestTf:
-    def test_hand_count(self, two_doc_index):
-        assert two_doc_index.tf("d0000", "a") == 2
-
-    def test_absent_term(self, two_doc_index):
-        assert two_doc_index.tf("d0001", "a") == 0
-
-    def test_unknown_document(self, two_doc_index):
-        with pytest.raises(UnknownDocument):
-            two_doc_index.tf("d9999", "a")
 
 
 class TestIdf:
@@ -166,23 +156,58 @@ class TestPersistence:
             load_index(io.StringIO(truncated))
 
     def test_bad_header(self):
-        with pytest.raises(FormatError) as excinfo:
-            load_index(io.StringIO("WRONG 2018-02 2\n"))
+        for text in (
+            "WRONG 2018-02 2\n",
+            "INDEXv2 2018-02\n",
+            "INDEXv2 2018-13 0\n",
+            "INDEXv2 2018-2 0\n",
+            "INDEXv2 2018-02 two\n",
+            "INDEXv2 2018-02 -1\n",
+        ):
+            with pytest.raises(FormatError) as excinfo:
+                load_index(io.StringIO(text))
+            assert excinfo.value.line == 1, text
+
+    def test_v1_file_rejected(self):
+        text = "INDEXv1 2018-02 1\nD d1 2018-02-01 0 a\nT a 1 d1:1\n"
+        with pytest.raises(FormatError, match="eventsearch index") as excinfo:
+            load_index(io.StringIO(text))
         assert excinfo.value.line == 1
 
-    def test_df_postings_disagreement(self):
-        text = "INDEXv1 2018-02 1\nD d1 2018-02-01 0 a\nT a 2 d1:1\n"
+    def test_stray_line_rejected(self):
+        for text, line in (
+            ("INDEXv2 2018-02 1\nD d1 2018-02-01 0 a\nT a 1 d1:1\n", 3),
+            ("INDEXv2 2018-02 2\nD d1 2018-02-01 0 a\n\nD d2 2018-02-01 0 a\n", 3),
+            ("INDEXv2 2018-02 1\nX d1 2018-02-01 0 a\n", 2),
+        ):
+            with pytest.raises(FormatError) as excinfo:
+                load_index(io.StringIO(text))
+            assert excinfo.value.line == line, text
+
+    def test_bad_document_line(self):
+        for text in (
+            "INDEXv2 2018-02 1\nD d1 2018-02-30 0 a\n",
+            "INDEXv2 2018-02 1\nD d1 2018-02-01 x a\n",
+            "INDEXv2 2018-02 1\nD d1 2018-02-01 2 a\n",
+            "INDEXv2 2018-02 1\nD d1 2018-02-01 0 A\n",
+            "INDEXv2 2018-02 1\nD d1 2018-02-01 0 a-b\n",
+            "INDEXv2 2018-02 1\nD d1 2018-02-01 0 a  b\n",
+            "INDEXv2 2018-02 1\nD d1 2018-02-01 0 \n",
+            "INDEXv2 2018-02 1\nD  2018-02-01 0 a\n",
+            "INDEXv2 2018-02 2\nD d1 2018-02-01 0 a\nD d1 2018-02-02 0 b\n",
+        ):
+            with pytest.raises(FormatError) as excinfo:
+                load_index(io.StringIO(text))
+            assert excinfo.value.line == len(text.splitlines()), text
+
+    def test_cut_inside_last_line(self):
+        text = "INDEXv2 2018-02 1\nD d1 2018-02-01 0 ab"  # complete file ends "abc\n"
         with pytest.raises(FormatError) as excinfo:
             load_index(io.StringIO(text))
-        assert excinfo.value.line == 3
-
-    def test_posting_for_unknown_doc(self):
-        text = "INDEXv1 2018-02 1\nD d1 2018-02-01 0 a\nT a 1 d9:1\n"
-        with pytest.raises(FormatError):
-            load_index(io.StringIO(text))
+        assert excinfo.value.line == 2
 
     def test_doc_outside_partition_month(self):
-        text = "INDEXv1 2018-02 1\nD d1 2018-03-01 0 a\nT a 1 d1:1\n"
+        text = "INDEXv2 2018-02 1\nD d1 2018-03-01 0 a\n"
         with pytest.raises(FormatError) as excinfo:
             load_index(io.StringIO(text))
         assert excinfo.value.line == 2
@@ -193,15 +218,55 @@ class TestPersistence:
         with pytest.raises(FormatError):
             save_index(index, io.StringIO())
 
-    def test_unsorted_postings_rejected(self):
-        text = (
-            "INDEXv1 2018-02 2\n"
-            "D d1 2018-02-01 0 a\n"
-            "D d2 2018-02-01 0 a\n"
-            "T a 2 d2:1,d1:1\n"
+    def test_file_holds_header_and_documents_only(self, two_doc_index):
+        out = io.StringIO()
+        save_index(two_doc_index, out)
+        assert out.getvalue() == (
+            "INDEXv2 2018-02 2\nD d0000 2018-02-01 0 a b a\nD d0001 2018-02-02 0 b c\n"
         )
+
+    def test_failed_save_keeps_old_file(self, two_doc_index, tmp_path):
+        path = tmp_path / "idx.txt"
+        save_index(two_doc_index, path)
+        before = path.read_bytes()
+        good = two_doc_index.doc_store["d0000"]
+        broken = ItemDocument("d0001", None, "", "b", ("b",))  # no date: fails mid-write
+        index = InvertedIndex((2018, 2), {}, {"d0000": good, "d0001": broken})
+        with pytest.raises(AttributeError):
+            save_index(index, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["idx.txt"]
+
+
+_TOKENS = st.lists(st.text("abz09é", min_size=1, max_size=3), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.text("ab:,-", min_size=1, max_size=3), _TOKENS, _TOKENS, st.integers(1, 28)),
+        max_size=5,
+        unique_by=lambda doc: doc[0],
+    )
+)
+def test_round_trip_equals_build_and_every_prefix_fails(specs):
+    docs = tuple(
+        ItemDocument.create(doc_id, date(2018, 2, day), " ".join(category), " ".join(title))
+        for doc_id, category, title, day in specs
+    )
+    index = build_index(MonthlyCorpus((2018, 2), docs))
+    out = io.StringIO()
+    save_index(index, out)
+    text = out.getvalue()
+    loaded = load_index(io.StringIO(text))
+    _assert_same_index(index, loaded)
+    assert list(loaded.doc_store.values()) == list(docs)
+    again = io.StringIO()
+    save_index(loaded, again)
+    assert again.getvalue() == text
+    for cut in range(len(text)):
         with pytest.raises(FormatError):
-            load_index(io.StringIO(text))
+            load_index(io.StringIO(text[:cut]))
 
 
 class TestSelfConsistency:

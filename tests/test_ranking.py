@@ -82,6 +82,8 @@ class TestBm25:
             Bm25(k1=0.0)
         with pytest.raises(ValueError):
             Bm25(b=1.5)
+        with pytest.raises(ValueError):
+            Bm25(k1=math.nan)
 
     def test_hand_value(self, small_index):
         # d0000 has |d| = 3, avgdl = 2.5; tf(a) = 2, idf(a) = ln(3/2)+1
@@ -135,6 +137,15 @@ class TestRetrieve:
     def test_negative_threshold_rejected(self, small_index):
         with pytest.raises(ValueError):
             retrieve(small_index, ExpandedQuery(("a",), {}), threshold=-0.1)
+
+    def test_nan_threshold_rejected(self, small_index):
+        with pytest.raises(ValueError):
+            retrieve(small_index, ExpandedQuery(("a",), {}), threshold=math.nan)
+
+    def test_limit_below_one_rejected(self, small_index):
+        for limit in (0, -1):
+            with pytest.raises(ValueError):
+                retrieve(small_index, ExpandedQuery(("a",), {}), limit=limit)
 
 
 class TestOracleEquivalence:

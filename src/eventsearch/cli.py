@@ -236,25 +236,19 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _setup_logging() -> None:
-    # rebind to the current sys.stderr so repeated in-process calls behave
-    root = logging.getLogger("eventsearch")
-    for handler in list(root.handlers):
-        root.removeHandler(handler)
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
-    root.addHandler(handler)
-    root.setLevel(logging.INFO)
-    root.propagate = False
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    _setup_logging()
+    # log to this call's stderr, then hand the package logger back as it was
+    logger = logging.getLogger("eventsearch")
+    handlers, propagate, level = logger.handlers, logger.propagate, logger.level
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+    logger.handlers, logger.propagate = [handler], False
+    logger.setLevel(logging.INFO)
     try:
         return args.func(args)
     except ValueError as exc:
@@ -263,6 +257,9 @@ def main(argv: list[str] | None = None) -> int:
     except (EventSearchError, OSError) as exc:
         print(f"eventsearch: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        logger.handlers, logger.propagate = handlers, propagate
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

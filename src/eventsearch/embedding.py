@@ -121,7 +121,8 @@ def most_similar(
     """Up to k nearest terms with similarity strictly above min_sim.
 
     Sorted by score descending, ties broken lexicographically; never
-    contains the query term itself.
+    contains the query term itself. A zero vector has no direction: it is
+    nobody's neighbor, and as the query's vector it raises ZeroVector.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -130,11 +131,16 @@ def most_similar(
     if term not in model:
         raise OutOfVocabulary(term)
     query_vec = model._vectors[term]
+    if np.linalg.norm(query_vec) == 0.0:
+        raise ZeroVector(f"{term!r} has a zero vector")
     scored = []
     for other, vec in model._vectors.items():
         if other == term:
             continue
-        score = cosine_similarity(query_vec, vec)
+        try:
+            score = cosine_similarity(query_vec, vec)
+        except ZeroVector:  # the query's norm is not zero, so the other's is
+            continue
         if score > min_sim:
             scored.append((other, score))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))

@@ -45,10 +45,8 @@ def recall_increase(
     a percentage increase over zero has no meaning.
     """
     query = expand_query(seed, model, stopwords, k=k, min_sim=min_sim)
-    seed_results = retrieve(index, query.without_expansion(), scorer, threshold)
-    expanded_results = retrieve(index, query, scorer, threshold)
-    seed_hits = len(seed_results)
-    expanded_hits = len(expanded_results)
+    seed_hits = len(retrieve(index, query.without_expansion(), scorer, threshold))
+    expanded_hits = len(retrieve(index, query, scorer, threshold))
     if seed_hits == 0:
         raise UndefinedBaseline("seed-only query retrieved no documents")
     increase_pct = 100.0 * (expanded_hits - seed_hits) / seed_hits

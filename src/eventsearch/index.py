@@ -1,4 +1,4 @@
-"""Inverted index over one monthly partition: postings, tf, and smoothed idf.
+"""Inverted index over one monthly partition: postings, document lengths, and smoothed idf.
 
 A built index is immutable and safe for unlimited concurrent readers.
 """
@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 import re
 from datetime import date
-from typing import Iterable
 
 from .corpus import ItemDocument, MonthKey, MonthlyCorpus, format_month, parse_month, tokenize
 from .errors import DuplicateDocumentId, FormatError
@@ -20,7 +19,7 @@ _SERIALIZABLE_ID = re.compile(r"\S+")
 
 
 class InvertedIndex:
-    """term -> postings, document frequencies, and the document store."""
+    """term -> postings, document frequencies and lengths, and the document store."""
 
     def __init__(
         self,
@@ -32,29 +31,15 @@ class InvertedIndex:
         self.postings = postings
         self.doc_store = doc_store
         self.doc_freq = {term: len(plist) for term, plist in postings.items()}
-
-    @property
-    def doc_count(self) -> int:
-        return len(self.doc_store)
-
-    @property
-    def avg_doc_len(self) -> float:
-        """Mean token count over all documents; 0.0 for an empty index."""
-        if not self.doc_store:
-            return 0.0
-        return sum(len(d.tokens) for d in self.doc_store.values()) / len(self.doc_store)
+        self.doc_count = len(doc_store)
+        self.doc_len = {doc_id: len(doc.tokens) for doc_id, doc in doc_store.items()}
+        # mean token count over all documents; 0.0 for an empty index
+        self.avg_doc_len = sum(self.doc_len.values()) / self.doc_count if doc_store else 0.0
 
     def idf(self, term: str) -> float:
         """ln((N + 1) / (df + 1)) + 1; smoothed, strictly positive."""
         df = self.doc_freq.get(term, 0)
         return math.log((self.doc_count + 1) / (df + 1)) + 1.0
-
-    def candidate_docs(self, terms: Iterable[str]) -> set[str]:
-        """Union of posting doc_ids over the given terms (OR semantics)."""
-        found: set[str] = set()
-        for term in terms:
-            found.update(doc_id for doc_id, _ in self.postings.get(term, ()))
-        return found
 
 
 def build_index(corpus: MonthlyCorpus) -> InvertedIndex:

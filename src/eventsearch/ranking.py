@@ -44,11 +44,14 @@ class RankedResult:
     matched_terms: tuple[tuple[str, float], ...]
 
 
-def _term_weight(scorer: ScorerKind, tf: int, idf: float, doc_len: int, avgdl: float) -> float:
+def _contribution(
+    scorer: ScorerKind, tf: int, idf: float, delta: float, doc_len: int, avgdl: float
+) -> float:
+    """One query term's share of a document's score: its weight times delta."""
     if isinstance(scorer, Bm25):
         norm = 1.0 - scorer.b + scorer.b * (doc_len / avgdl)
-        return idf * tf * (scorer.k1 + 1.0) / (tf + scorer.k1 * norm)
-    return tf * idf
+        return idf * tf * (scorer.k1 + 1.0) / (tf + scorer.k1 * norm) * delta
+    return tf * idf * delta
 
 
 def score_document(
@@ -57,20 +60,19 @@ def score_document(
     query: ExpandedQuery,
     scorer: ScorerKind = TfIdf(),
 ) -> RankedResult:
-    """Score one document; contributions are summed in term-lexicographic
-    order so repeated runs reproduce the same float."""
+    """Score one document, listing each term's contribution; the terms are
+    summed in lexicographic order, bit-identical to retrieve's result."""
     if doc_id not in index.doc_store:
         raise UnknownDocument(doc_id)
-    doc = index.doc_store[doc_id]
-    avgdl = index.avg_doc_len
+    tokens = index.doc_store[doc_id].tokens
+    doc_len, avgdl = index.doc_len[doc_id], index.avg_doc_len
     score = 0.0
     matched = []
     for term in sorted(query.all_terms()):
-        tf = doc.tokens.count(term)
+        tf = tokens.count(term)
         if tf == 0:
             continue
-        weight = _term_weight(scorer, tf, index.idf(term), len(doc.tokens), avgdl)
-        contribution = weight * query.delta(term)
+        contribution = _contribution(scorer, tf, index.idf(term), query.delta(term), doc_len, avgdl)
         matched.append((term, contribution))
         score += contribution
     return RankedResult(doc_id, score, tuple(matched))
@@ -83,17 +85,29 @@ def retrieve(
     threshold: float = 0.0,
     limit: int | None = None,
 ) -> list[RankedResult]:
-    """Candidates matching any query term, kept when score > threshold,
-    sorted by score descending with doc_id breaking ties."""
+    """Documents matching any query term, kept when score > threshold,
+    sorted by score descending with doc_id breaking ties.
+
+    Scores accumulate term at a time over the postings, terms in the same
+    order as score_document, in O(sum of the query terms' df)."""
     if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
+    doc_len, avgdl = index.doc_len, index.avg_doc_len
+    scores: dict[str, float] = {}
+    matched: dict[str, list[tuple[str, float]]] = {}
+    for term in sorted(query.all_terms()):
+        idf, delta = index.idf(term), query.delta(term)
+        for doc_id, tf in index.postings.get(term, ()):
+            contribution = _contribution(scorer, tf, idf, delta, doc_len[doc_id], avgdl)
+            scores[doc_id] = scores.get(doc_id, 0.0) + contribution
+            matched.setdefault(doc_id, []).append((term, contribution))
     results = [
-        score_document(index, doc_id, query, scorer)
-        for doc_id in index.candidate_docs(query.all_terms())
+        RankedResult(doc_id, score, tuple(matched[doc_id]))
+        for doc_id, score in scores.items()
+        if score > threshold
     ]
-    results = [r for r in results if r.score > threshold]
     results.sort(key=lambda r: (-r.score, r.doc_id))
     if limit is not None:
         results = results[:limit]

@@ -1,6 +1,9 @@
 """CLI subcommands as thin adapters over the library, plus exit codes."""
 
+import contextlib
 import io
+import logging
+import os
 import subprocess
 import sys
 
@@ -210,6 +213,28 @@ class TestEvalCommand:
         assert out.splitlines()[-1] == "seed_hits=2 expanded_hits=3 increase=50.0%"
 
 
+class TestLogging:
+    def test_warning_goes_to_stderr(self, workspace, capsys):
+        code, out, err = run(
+            capsys, "expand", "--model", str(workspace / "feb.vec"), "--seed", "zzz valentine"
+        )
+        assert code == 0
+        assert "jewellery" in out
+        assert err == "WARNING seed term 'zzz' not in vocabulary, skipping expansion for it\n"
+
+    def test_logger_restored_after_main(self, workspace, caplog, capsys):
+        stream = io.StringIO()
+        with contextlib.redirect_stderr(stream):
+            assert main(["expand", "--model", str(workspace / "feb.vec"), "--seed", "zzz"]) == 0
+        stream.close()
+        caplog.set_level(logging.WARNING, logger="eventsearch")
+        expand_query(["zzz valentine"], load_vectors(workspace / "feb.vec"))
+        assert [r.getMessage() for r in caplog.records] == [
+            "seed term 'zzz' not in vocabulary, skipping expansion for it"
+        ]
+        assert capsys.readouterr().err == ""
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")
@@ -271,10 +296,11 @@ class TestExitCodes:
         assert run(capsys, "--help")[0] == 0
 
     def test_module_entry_point(self, workspace):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         proc = subprocess.run(
             [sys.executable, "-m", "eventsearch.cli", "neighbors", "--model",
              str(workspace / "feb.vec"), "--word", "valentine", "--min-sim", "0.5"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "jewellery\t0.800000" in proc.stdout

@@ -148,6 +148,19 @@ class TestMostSimilar:
         with pytest.raises(ValueError):
             most_similar(model, "q", k=2, min_sim=math.nan)
 
+    def test_zero_row_is_nobodys_neighbor(self):
+        model = model_from({**FIXTURE, "z": (0.0, 0.0)})
+        for term in ("q", "a", "b", "c"):
+            got = most_similar(model, term, k=4, min_sim=-1.0)
+            assert got == most_similar(model_from(FIXTURE), term, k=4, min_sim=-1.0)
+
+    def test_zero_query_vector_raises(self):
+        model = model_from({**FIXTURE, "z": (0.0, 0.0)})
+        with pytest.raises(ZeroVector):
+            most_similar(model, "z", k=4, min_sim=-1.0)
+        with pytest.raises(ZeroVector):
+            most_similar(model_from({"z": (0.0, 0.0)}), "z", k=4, min_sim=-1.0)
+
 
 class TestVectorFileFormat:
     def test_header_line(self):

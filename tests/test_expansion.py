@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from eventsearch.embedding import EmbeddingModel
-from eventsearch.errors import AllStopwords, EmptySeed, NotInQuery
+from eventsearch.errors import AllStopwords, EmptySeed, NotInQuery, ZeroVector
 from eventsearch.expansion import (
     ExpandedQuery,
     StopwordList,
@@ -116,11 +116,22 @@ class TestExpandQuery:
         with pytest.raises(ValueError):
             expand_query(["jewelry"], model, NO_STOPS, min_sim=min_sim)
 
-    def test_oov_warning_names_month_only_when_known(self, caplog, monkeypatch):
-        # undo what an in-process CLI run left on the package logger
-        logger = logging.getLogger("eventsearch")
-        monkeypatch.setattr(logger, "handlers", [])
-        monkeypatch.setattr(logger, "propagate", True)
+    def test_zero_row_is_never_a_candidate(self):
+        model = model_from({**JEWELRY_FIXTURE, "blank": (0.0, 0.0)})
+        query = expand_query(["valentines day jewelry"], model, NO_STOPS, k=4, min_sim=0.01)
+        plain = expand_query(["valentines day jewelry"], model_from(JEWELRY_FIXTURE), NO_STOPS,
+                             k=4, min_sim=0.01)
+        assert query == plain
+
+    def test_zero_seed_vector_raises(self):
+        model = model_from({**JEWELRY_FIXTURE, "blank": (0.0, 0.0)})
+        with pytest.raises(ZeroVector):
+            expand_query(["blank jewelry"], model, NO_STOPS)
+        # a stop word proposes no candidates, so its vector is never used
+        query = expand_query(["blank jewelry"], model, StopwordList(["blank"]))
+        assert set(query.expansion_terms) == {"jewellery"}
+
+    def test_oov_warning_names_month_only_when_known(self, caplog):
         caplog.set_level(logging.WARNING, logger="eventsearch")
         expand_query(["zzz jewelry"], model_from(JEWELRY_FIXTURE), NO_STOPS)
         dated = EmbeddingModel(model_from(JEWELRY_FIXTURE)._vectors, dim=2, month_key=(2018, 2))

@@ -36,6 +36,12 @@ class TestBuildIndex:
         index = build_index(MonthlyCorpus((2018, 2), ()))
         assert index.doc_count == 0
         assert index.postings == {}
+        assert index.doc_len == {}
+        assert index.avg_doc_len == 0.0
+
+    def test_document_lengths(self, two_doc_index):
+        assert two_doc_index.doc_len == {"d0000": 3, "d0001": 2}
+        assert two_doc_index.avg_doc_len == 2.5
 
     def test_single_token_doc(self):
         index = build_index(corpus_from_token_lists([["x"]]))
@@ -97,17 +103,6 @@ class TestIdf:
     def test_always_positive(self, two_doc_index):
         for term in list(two_doc_index.postings) + ["unseen"]:
             assert two_doc_index.idf(term) > 0
-
-
-class TestCandidateDocs:
-    def test_union_semantics(self, two_doc_index):
-        assert two_doc_index.candidate_docs({"a", "c"}) == {"d0000", "d0001"}
-
-    def test_unknown_terms_contribute_nothing(self, two_doc_index):
-        assert two_doc_index.candidate_docs({"zzz"}) == set()
-
-    def test_empty_terms(self, two_doc_index):
-        assert two_doc_index.candidate_docs(set()) == set()
 
 
 def _assert_same_index(a, b):

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eventsearch.corpus import MonthlyCorpus
 from eventsearch.errors import UnknownDocument
 from eventsearch.expansion import ExpandedQuery
 from eventsearch.index import build_index
@@ -146,6 +149,48 @@ class TestRetrieve:
         for limit in (0, -1):
             with pytest.raises(ValueError):
                 retrieve(small_index, ExpandedQuery(("a",), {}), limit=limit)
+
+    def test_query_matching_no_posting(self, small_index):
+        for scorer in (TfIdf(), Bm25()):
+            assert retrieve(small_index, ExpandedQuery(("zzz",), {"yyy": 0.9}), scorer) == []
+
+    def test_empty_index(self):
+        index = build_index(MonthlyCorpus((2018, 2), ()))
+        for scorer in (TfIdf(), Bm25()):
+            assert retrieve(index, ExpandedQuery(("a",), {"b": 0.9}), scorer) == []
+
+
+_POOL = ["a", "b", "c", "d", "e"]
+
+
+@st.composite
+def _queries(draw):
+    seeds = draw(st.lists(st.sampled_from(_POOL + ["zzz"]), min_size=1, max_size=3, unique=True))
+    others = st.sampled_from([t for t in _POOL + ["yyy"] if t not in seeds])
+    weights = st.floats(0.6, 1.0, exclude_min=True)
+    return ExpandedQuery(tuple(seeds), draw(st.dictionaries(others, weights, max_size=3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(_POOL), max_size=8), max_size=12),
+    _queries(),
+    st.one_of(st.just(TfIdf()), st.builds(Bm25, st.floats(0.1, 3.0), st.floats(0.0, 1.0))),
+    st.sampled_from([0.0, 0.5, 2.0, 4.0]),
+    st.sampled_from([None, 1, 2, 3, 4, 5]),
+)
+def test_retrieve_equals_score_document(token_lists, query, scorer, threshold, limit):
+    index = build_index(corpus_from_token_lists(token_lists))
+    results = retrieve(index, query, scorer, threshold)
+    for result in results:
+        assert result == score_document(index, result.doc_id, query, scorer)
+    returned = {r.doc_id for r in results}
+    for doc_id in index.doc_store.keys() - returned:
+        assert score_document(index, doc_id, query, scorer).score <= threshold
+    assert retrieve(index, query, scorer, threshold, limit) == results[:limit]
+    if results:  # the threshold is strict: a document scoring exactly on it is cut
+        cut = results[-1].score
+        assert retrieve(index, query, scorer, cut) == [r for r in results if r.score > cut]
 
 
 class TestOracleEquivalence:

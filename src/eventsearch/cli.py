@@ -16,9 +16,11 @@ from .corpus import MonthlyCorpus, format_month, ingest, parse_month, segment_by
 from .embedding import TrainConfig, load_vectors, most_similar, save_vectors, train
 from .errors import EventSearchError
 from .evaluation import format_report, recall_increase
-from .expansion import StopwordList, expand_query, format_expansion, seed_only_query
+from .expansion import (DEFAULT_K, DEFAULT_MIN_SIM, StopwordList, expand_query, format_expansion,
+                        seed_only_query)
 from .index import build_index, load_index, save_index
 from .ranking import Bm25, TfIdf, format_results, retrieve
+from .textfile import writer
 
 log = logging.getLogger(__name__)
 
@@ -31,10 +33,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_expansion_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=int, default=4,
-                        help="expansion candidates per seed term, 1..4 (default 4)")
-    parser.add_argument("--min-sim", type=float, default=0.6,
-                        help="similarity threshold, strict (default 0.6)")
+    parser.add_argument("--k", type=int, default=DEFAULT_K,
+                        help="expansion candidates per seed term, 1..4 (default %(default)s)")
+    parser.add_argument("--min-sim", type=float, default=DEFAULT_MIN_SIM,
+                        help="similarity threshold, strict (default %(default)s)")
     parser.add_argument("--stopwords", metavar="FILE",
                         help="stop word file, one lowercase word per line (default: built-in)")
 
@@ -43,8 +45,8 @@ def _add_scorer_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scorer", choices=("tfidf", "bm25"), default="tfidf")
     parser.add_argument("--threshold", type=float, default=0.0,
                         help="keep documents scoring strictly above this (default 0)")
-    parser.add_argument("--bm25-k1", type=float, default=1.2)
-    parser.add_argument("--bm25-b", type=float, default=0.75)
+    parser.add_argument("--bm25-k1", type=float, default=Bm25.k1)
+    parser.add_argument("--bm25-b", type=float, default=Bm25.b)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,21 +62,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="TSV corpus file")
     p.add_argument("--month", help="YYYY-MM selector when the corpus spans several months")
     p.add_argument("--output", required=True, help="vectors file (word2vec text format)")
-    p.add_argument("--dim", type=int, default=50)
-    p.add_argument("--window", type=int, default=4)
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--lr", type=float, default=0.025, help="initial learning rate")
-    p.add_argument("--lr-final", type=float, default=1e-4)
-    p.add_argument("--min-count", type=int, default=2)
-    p.add_argument("--seed", type=int, default=42, help="RNG seed for reproducible training")
+    p.add_argument("--dim", type=int, default=TrainConfig.dim)
+    p.add_argument("--window", type=int, default=TrainConfig.window)
+    p.add_argument("--negatives", type=int, default=TrainConfig.negatives)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr_initial, help="initial learning rate")
+    p.add_argument("--lr-final", type=float, default=TrainConfig.lr_final)
+    p.add_argument("--min-count", type=int, default=TrainConfig.min_count)
+    p.add_argument("--seed", type=int, default=TrainConfig.rng_seed,
+                   help="RNG seed for reproducible training")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("neighbors", help="list nearest vocabulary terms for a word")
     p.add_argument("--model", required=True, help="vectors file")
     p.add_argument("--word", required=True)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--min-sim", type=float, default=0.6)
+    p.add_argument("--k", type=int, default=DEFAULT_K)
+    p.add_argument("--min-sim", type=float, default=DEFAULT_MIN_SIM)
     p.set_defaults(func=cmd_neighbors)
 
     p = sub.add_parser("expand", help="expand seed keywords into a weighted query")
@@ -149,7 +152,7 @@ def cmd_ingest(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for part in segment_by_month(documents):
         path = out_dir / f"{format_month(part.month_key)}.tsv"
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        with writer(path) as handle:
             for doc in part.documents:
                 handle.write(
                     f"{doc.doc_id}\t{doc.sold_date.isoformat()}\t{doc.category}\t{doc.title}\n"

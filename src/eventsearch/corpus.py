@@ -77,6 +77,13 @@ class MonthlyCorpus:
     month_key: MonthKey
     documents: tuple[ItemDocument, ...]
 
+    def __post_init__(self):
+        counts = Counter(doc.doc_id for doc in self.documents)
+        if len(counts) != len(self.documents):
+            dupes = [doc_id for doc_id, n in counts.items() if n > 1]
+            month = format_month(self.month_key)
+            raise DuplicateDocumentId(f"duplicate doc_ids in {month}: {dupes}")
+
     def __len__(self) -> int:
         return len(self.documents)
 
@@ -184,12 +191,4 @@ def segment_by_month(documents: Iterable[ItemDocument]) -> list[MonthlyCorpus]:
     buckets: dict[MonthKey, list[ItemDocument]] = {}
     for doc in documents:
         buckets.setdefault(doc.month_key, []).append(doc)
-    partitions = []
-    for key in sorted(buckets):
-        docs = buckets[key]
-        ids = {d.doc_id for d in docs}
-        if len(ids) != len(docs):
-            dupes = [i for i, n in Counter(d.doc_id for d in docs).items() if n > 1]
-            raise DuplicateDocumentId(f"duplicate doc_ids in {format_month(key)}: {dupes}")
-        partitions.append(MonthlyCorpus(key, tuple(docs)))
-    return partitions
+    return [MonthlyCorpus(key, tuple(buckets[key])) for key in sorted(buckets)]

@@ -52,15 +52,9 @@ class TrainConfig:
 
 
 class EmbeddingModel:
-    """Immutable term -> vector map for one monthly partition."""
+    """Immutable term -> vector map for one month, held as one read-only (V, dim) matrix."""
 
-    def __init__(
-        self,
-        vectors: dict[str, np.ndarray],
-        dim: int,
-        month_key: MonthKey | None = None,
-        trained_on_docs: int = 0,
-    ):
+    def __init__(self, vectors: dict[str, np.ndarray], dim: int, month_key: MonthKey | None = None):
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
         for term, vec in vectors.items():
@@ -68,26 +62,30 @@ class EmbeddingModel:
                 raise DimensionMismatch(
                     f"vector for {term!r} has shape {vec.shape}, expected ({dim},)"
                 )
-        self._vectors = {term: np.array(vec, dtype=np.float64) for term, vec in vectors.items()}
+        self._terms = list(vectors)
+        self._rows = {term: i for i, term in enumerate(self._terms)}
+        self._matrix = np.array(list(vectors.values()), dtype=np.float64).reshape(-1, dim)
+        self._norms = np.linalg.norm(self._matrix, axis=1)
+        self._matrix.flags.writeable = False
+        self._norms.flags.writeable = False
         self.dim = dim
         self.month_key = month_key
-        self.trained_on_docs = trained_on_docs
 
     @property
     def terms(self) -> list[str]:
         """Vocabulary in insertion order (training writes frequency order)."""
-        return list(self._vectors)
+        return list(self._terms)
 
     def vector(self, term: str) -> np.ndarray:
-        if term not in self._vectors:
+        if term not in self._rows:
             raise OutOfVocabulary(term)
-        return self._vectors[term].copy()
+        return self._matrix[self._rows[term]].copy()
 
     def __contains__(self, term: str) -> bool:
-        return term in self._vectors
+        return term in self._rows
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self._terms)
 
 
 def cosine_similarity(a: Iterable[float], b: Iterable[float]) -> float:
@@ -112,7 +110,7 @@ def sim(model: EmbeddingModel, i: str, j: str) -> float:
         raise OutOfVocabulary(j)
     if i == j:
         return 1.0
-    return cosine_similarity(model._vectors[i], model._vectors[j])
+    return cosine_similarity(model._matrix[model._rows[i]], model._matrix[model._rows[j]])
 
 
 def most_similar(
@@ -130,19 +128,18 @@ def most_similar(
         raise ValueError("min_sim must be a number, got nan")
     if term not in model:
         raise OutOfVocabulary(term)
-    query_vec = model._vectors[term]
-    if np.linalg.norm(query_vec) == 0.0:
+    row = model._rows[term]
+    if model._norms[row] == 0.0:
         raise ZeroVector(f"{term!r} has a zero vector")
-    scored = []
-    for other, vec in model._vectors.items():
-        if other == term:
-            continue
-        try:
-            score = cosine_similarity(query_vec, vec)
-        except ZeroVector:  # the query's norm is not zero, so the other's is
-            continue
-        if score > min_sim:
-            scored.append((other, score))
+    # a zero row scores 0/0 = nan, which no threshold passes
+    with np.errstate(invalid="ignore"):
+        scores = model._matrix @ model._matrix[row] / (model._norms * model._norms[row])
+    np.clip(scores, -1.0, 1.0, out=scores)
+    scores[row] = np.nan
+    hits = np.flatnonzero(scores > min_sim)
+    if len(hits) > k:  # keep the k best and every score tied with the k-th
+        hits = hits[scores[hits] >= np.partition(scores[hits], -k)[-k]]
+    scored = [(model._terms[i], float(scores[i])) for i in hits]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]
 
@@ -228,10 +225,7 @@ def train(corpus: MonthlyCorpus, cfg: TrainConfig | None = None) -> EmbeddingMod
                         syn1[target] = out_vec + g * center_vec
                     syn0[center] = center_vec + grad
 
-    vectors = {term: syn0[vocab.id_of(term)] for term in vocab.terms}
-    return EmbeddingModel(
-        vectors, dim=cfg.dim, month_key=corpus.month_key, trained_on_docs=len(corpus.documents)
-    )
+    return EmbeddingModel(dict(zip(vocab.terms, syn0)), dim=cfg.dim, month_key=corpus.month_key)
 
 
 def save_vectors(model: EmbeddingModel, dest: PathOrFile) -> None:
@@ -242,8 +236,8 @@ def save_vectors(model: EmbeddingModel, dest: PathOrFile) -> None:
     """
     with writer(dest) as handle:
         handle.write(f"{len(model)} {model.dim}\n")
-        for term in model.terms:
-            components = " ".join(repr(float(c)) for c in model._vectors[term])
+        for term, row in zip(model._terms, model._matrix):
+            components = " ".join(repr(float(c)) for c in row)
             handle.write(f"{term} {components}\n")
 
 

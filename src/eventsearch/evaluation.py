@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .corpus import MonthKey, format_month
 from .embedding import EmbeddingModel
 from .errors import UndefinedBaseline
-from .expansion import StopwordList, expand_query
+from .expansion import DEFAULT_K, DEFAULT_MIN_SIM, StopwordList, expand_query
 from .index import InvertedIndex
 from .ranking import Bm25, ScorerKind, TfIdf, retrieve
 
@@ -34,8 +34,8 @@ def recall_increase(
     seed: list[str],
     model: EmbeddingModel,
     stopwords: StopwordList | None = None,
-    k: int = 4,
-    min_sim: float = 0.6,
+    k: int = DEFAULT_K,
+    min_sim: float = DEFAULT_MIN_SIM,
     threshold: float = 0.0,
     scorer: ScorerKind = TfIdf(),
 ) -> RecallReport:

@@ -10,7 +10,7 @@ import re
 from datetime import date
 
 from .corpus import ItemDocument, MonthKey, MonthlyCorpus, format_month, parse_month, tokenize
-from .errors import DuplicateDocumentId, FormatError
+from .errors import FormatError
 from .textfile import PathOrFile, read_lines, writer
 
 FORMAT = "INDEXv2"
@@ -47,8 +47,6 @@ def build_index(corpus: MonthlyCorpus) -> InvertedIndex:
     postings: dict[str, list[tuple[str, int]]] = {}
     doc_store: dict[str, ItemDocument] = {}
     for doc in corpus.documents:
-        if doc.doc_id in doc_store:
-            raise DuplicateDocumentId(f"doc_id {doc.doc_id!r} appears twice in corpus")
         doc_store[doc.doc_id] = doc
         counts: dict[str, int] = {}
         for token in doc.tokens:

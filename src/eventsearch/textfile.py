@@ -1,4 +1,4 @@
-"""Reading and writing the package's text artifacts: index and vector files.
+"""Reading and writing the package's text artifacts: index, vector and partition files.
 
 Both are UTF-8 with a "\\n" after every line. A path is written atomically:
 readers see the old file or the complete new one, never a partial write.

@@ -6,11 +6,13 @@ import logging
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
+from eventsearch import cli
 from eventsearch.cli import main
-from eventsearch.corpus import ingest, segment_by_month
+from eventsearch.corpus import MonthlyCorpus, ingest, segment_by_month
 from eventsearch.embedding import TrainConfig, load_vectors, save_vectors, train
 from eventsearch.evaluation import format_report, recall_increase
 from eventsearch.expansion import expand_query, format_expansion
@@ -66,6 +68,24 @@ class TestIngestCommand:
             result = ingest(handle)
         assert [d.doc_id for d in result.documents] == ["v1", "v2", "v3", "v4"]
         assert result.error_count == 0
+
+    def test_failed_write_keeps_old_partition(self, workspace, capsys, monkeypatch):
+        out_dir = workspace / "months"
+        argv = ["ingest", "--input", str(workspace / "corpus.tsv"), "--out-dir", str(out_dir)]
+        run(capsys, *argv)
+        before = (out_dir / "2018-02.tsv").read_bytes()
+
+        def broken_segment(documents):
+            feb, *rest = segment_by_month(documents)
+            docs = list(feb.documents)
+            docs[1] = replace(docs[1], sold_date=None)  # line 1 is written, then line 2 raises
+            return [MonthlyCorpus(feb.month_key, tuple(docs)), *rest]
+
+        monkeypatch.setattr(cli, "segment_by_month", broken_segment)
+        with pytest.raises(AttributeError):
+            main(argv)
+        assert (out_dir / "2018-02.tsv").read_bytes() == before
+        assert sorted(p.name for p in out_dir.iterdir()) == ["2018-02.tsv", "2018-08.tsv"]
 
 
 class TestTrainCommand:

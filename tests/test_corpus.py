@@ -136,7 +136,7 @@ class TestSegmentByMonth:
 
     def test_duplicate_within_partition_rejected(self):
         docs = [self._doc("x", "2018-05-02"), self._doc("x", "2018-05-03")]
-        with pytest.raises(DuplicateDocumentId):
+        with pytest.raises(DuplicateDocumentId, match=r"2018-05: \['x'\]"):
             segment_by_month(docs)
 
 

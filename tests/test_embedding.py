@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from eventsearch.embedding import (
     EmbeddingModel,
@@ -105,6 +107,26 @@ class TestSim:
 FIXTURE = {"q": (1.0, 0.0), "a": (1.0, 0.0), "b": (0.8, 0.6), "c": (0.0, 1.0)}
 
 
+@st.composite
+def small_models(draw):
+    """term -> vector maps of small integer rows, with zero and parallel rows mixed in."""
+    dim = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        rows.append([0] * dim)
+    for _ in range(draw(st.integers(0, 2))):
+        scale = draw(st.integers(1, 3))
+        rows.append([scale * c for c in draw(st.sampled_from(rows))])
+    return {f"t{i}": np.array(r, dtype=float) for i, r in enumerate(rows)}, dim
+
+
+def saved(model):
+    out = io.StringIO()
+    save_vectors(model, out)
+    return out.getvalue()
+
+
 class TestMostSimilar:
     def test_threshold_and_order(self):
         model = model_from(FIXTURE)
@@ -112,6 +134,8 @@ class TestMostSimilar:
         assert [t for t, _ in got] == ["a", "b"]
         assert got[0][1] == pytest.approx(1.0, abs=1e-9)
         assert got[1][1] == pytest.approx(0.8, abs=1e-9)
+        # "c" is orthogonal to "q": a score of exactly 0.0 does not pass 0.0
+        assert [t for t, _ in most_similar(model, "q", k=4, min_sim=0.0)] == ["a", "b"]
 
     def test_high_threshold(self):
         model = model_from(FIXTURE)
@@ -153,6 +177,43 @@ class TestMostSimilar:
         for term in ("q", "a", "b", "c"):
             got = most_similar(model, term, k=4, min_sim=-1.0)
             assert got == most_similar(model_from(FIXTURE), term, k=4, min_sim=-1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_models(), st.data(), st.integers(1, 5), st.floats(-1.0, 1.0, exclude_max=True))
+    def test_matches_brute_force_scan(self, drawn, data, k, min_sim):
+        vectors, dim = drawn
+        model = EmbeddingModel(vectors, dim=dim)
+        term = data.draw(st.sampled_from(sorted(vectors)))
+        if not vectors[term].any():
+            with pytest.raises(ZeroVector):
+                most_similar(model, term, k, min_sim)
+            return
+        brute = {
+            other: max(-1.0, min(1.0, hand_cosine(vectors[term], vec)))
+            for other, vec in vectors.items()
+            if other != term and vec.any()
+        }
+        assume(all(abs(score - min_sim) > 1e-9 for score in brute.values()))
+        passing = [(other, score) for other, score in brute.items() if score > min_sim]
+        expected = sorted(passing, key=lambda pair: (-pair[1], pair[0]))[:k]
+        got = most_similar(model, term, k, min_sim)
+        assert len(got) == len(expected)
+        assert len({other for other, _ in got}) == len(got)
+        for (got_term, got_score), (_, exp_score) in zip(got, expected):
+            assert -1.0 <= got_score <= 1.0
+            assert abs(got_score - exp_score) <= 1e-9
+            # a term other than the expected one only where the two scores tie
+            assert abs(brute[got_term] - exp_score) <= 1e-9
+
+    def test_model_keeps_its_own_copy(self):
+        vectors = {t: np.array(v, dtype=float) for t, v in FIXTURE.items()}
+        model = EmbeddingModel(vectors, dim=2)
+        before = most_similar(model, "q", k=4, min_sim=-1.0), saved(model)
+        for vec in vectors.values():
+            vec[:] = 7.0
+        model.vector("q")[:] = 7.0
+        model.vector("c")[:] = 0.0
+        assert (most_similar(model, "q", k=4, min_sim=-1.0), saved(model)) == before
 
     def test_zero_query_vector_raises(self):
         model = model_from({**FIXTURE, "z": (0.0, 0.0)})
@@ -241,7 +302,9 @@ class TestVectorFileFormat:
         save_vectors(model_from(FIXTURE), path)
         before = path.read_bytes()
         model = model_from(FIXTURE)
-        model._vectors["b"] = None  # rows before "b" are written, then the write raises
+        rows = list(model._matrix)
+        rows[model.terms.index("b")] = None  # rows before "b" are written, then the write raises
+        model._matrix = rows
         with pytest.raises(TypeError):
             save_vectors(model, path)
         assert path.read_bytes() == before
@@ -257,7 +320,6 @@ class TestTrain:
         assert model.dim == 8
         assert model.vector("x").shape == (8,)
         assert model.month_key == corpus.month_key
-        assert model.trained_on_docs == 1
 
     def test_one_token_docs_have_no_pairs(self):
         corpus = corpus_from_token_lists([["x"], ["x"], ["x"]])

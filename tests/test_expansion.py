@@ -23,8 +23,10 @@ from oracle import oracle_expand
 from util import hand_cosine
 
 
-def model_from(vectors, dim=2):
-    return EmbeddingModel({t: np.array(v, dtype=float) for t, v in vectors.items()}, dim=dim)
+def model_from(vectors, dim=2, month_key=None):
+    return EmbeddingModel(
+        {t: np.array(v, dtype=float) for t, v in vectors.items()}, dim=dim, month_key=month_key
+    )
 
 
 NO_STOPS = StopwordList([])
@@ -134,7 +136,7 @@ class TestExpandQuery:
     def test_oov_warning_names_month_only_when_known(self, caplog):
         caplog.set_level(logging.WARNING, logger="eventsearch")
         expand_query(["zzz jewelry"], model_from(JEWELRY_FIXTURE), NO_STOPS)
-        dated = EmbeddingModel(model_from(JEWELRY_FIXTURE)._vectors, dim=2, month_key=(2018, 2))
+        dated = model_from(JEWELRY_FIXTURE, month_key=(2018, 2))
         expand_query(["zzz jewelry"], dated, NO_STOPS)
         assert [r.getMessage() for r in caplog.records] == [
             "seed term 'zzz' not in vocabulary, skipping expansion for it",

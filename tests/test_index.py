@@ -71,9 +71,8 @@ class TestBuildIndex:
 
     def test_duplicate_doc_ids_rejected(self):
         doc = ItemDocument.create("dup", date(2018, 2, 1), "", "a b")
-        corpus = MonthlyCorpus((2018, 2), (doc, doc))
         with pytest.raises(DuplicateDocumentId):
-            build_index(corpus)
+            build_index(MonthlyCorpus((2018, 2), (doc, doc)))
 
 
 class TestIdf:

@@ -1,9 +1,11 @@
 """Per-month word embeddings: skip-gram with negative sampling at desk scale.
 
-The trainer is deliberately single-threaded and free of stochastic window
-shrinking so that a (corpus order, seed) pair always reproduces the same
-vectors bit for bit. Models are immutable after construction and safe for
-concurrent read-only queries.
+Training derives every (center, context) pair once and takes its SGD steps
+over fixed minibatches of BATCH_PAIRS pairs as array operations. It stays
+single-threaded, seeded and free of stochastic window shrinking, so a
+(corpus order, seed) pair always reproduces the same vectors bit for bit.
+Models are immutable after construction and safe for concurrent read-only
+queries.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ from .errors import (
 from .textfile import PathOrFile, read_lines, writer
 
 NOISE_POWER = 0.75
+# (center, context) pairs per SGD step. A batch reads the vectors as they stood before
+# it; at 256 its summed stale updates no longer separate the seasonal-drift test months.
+BATCH_PAIRS = 64
 
 
 @dataclass(frozen=True)
@@ -110,7 +115,11 @@ def sim(model: EmbeddingModel, i: str, j: str) -> float:
         raise OutOfVocabulary(j)
     if i == j:
         return 1.0
-    return cosine_similarity(model._matrix[model._rows[i]], model._matrix[model._rows[j]])
+    a, b = model._rows[i], model._rows[j]
+    if model._norms[a] == 0.0 or model._norms[b] == 0.0:
+        raise ZeroVector("cosine similarity undefined for zero-magnitude vector")
+    value = float(model._matrix[a] @ model._matrix[b] / (model._norms[a] * model._norms[b]))
+    return max(-1.0, min(1.0, value))
 
 
 def most_similar(
@@ -150,80 +159,69 @@ def negative_sampling_distribution(counts: np.ndarray) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _sigmoid(x: float) -> float:
-    if x > 60.0:
-        return 1.0
-    if x < -60.0:
-        return 0.0
-    return 1.0 / (1.0 + math.exp(-x))
+def _pairs(sentences: list[list[int]], window: int) -> tuple[np.ndarray, np.ndarray]:
+    """(center, context) id pairs in window, by document, then position, then context position."""
+    lengths = np.array([len(s) for s in sentences], dtype=np.intp)
+    ids = np.array([i for s in sentences for i in s], dtype=np.intp)
+    ends = np.repeat(np.cumsum(lengths), lengths)
+    starts = ends - np.repeat(lengths, lengths)
+    ctx = np.arange(len(ids))[:, None] + np.r_[-window:0, 1 : window + 1]
+    keep = (ctx >= starts[:, None]) & (ctx < ends[:, None])
+    return np.broadcast_to(ids[:, None], ctx.shape)[keep], ids[ctx[keep]]
+
+
+def _scatter_add(matrix: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> None:
+    """matrix[rows] += updates, summing repeated rows in a fixed order."""
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    firsts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+    matrix[rows[firsts]] += np.add.reduceat(updates[order], firsts)
 
 
 def train(corpus: MonthlyCorpus, cfg: TrainConfig | None = None) -> EmbeddingModel:
     """Train skip-gram-with-negative-sampling vectors on one month of titles.
 
     Context pairs come from a fixed symmetric window and never cross
-    document boundaries. Training is deterministic for a given document
-    order and cfg.rng_seed.
+    document boundaries. Each epoch walks them in corpus order, BATCH_PAIRS
+    at a time: a batch reads the vectors as they stood before it, draws
+    cfg.negatives noise words per pair (dropping a draw equal to the pair's
+    context), and adds its summed gradients at once. The learning rate falls
+    linearly per pair. The result is bit-identical for a given document
+    order and cfg.
 
     Raises EmptyVocabulary if no term survives cfg.min_count, and
-    NoTrainingPairs if the windowed corpus yields zero (center, context)
-    pairs.
+    NoTrainingPairs if the window yields no (center, context) pair.
     """
     cfg = cfg or TrainConfig()
     vocab = Vocabulary.from_documents(corpus.documents, min_count=cfg.min_count)
     if len(vocab) == 0:
         raise EmptyVocabulary(f"no term appears >= {cfg.min_count} times")
-
-    sentences = []
-    total_pairs = 0
-    for doc in corpus.documents:
-        ids = [vocab.id_of(t) for t in doc.tokens if t in vocab]
-        if len(ids) < 2:
-            continue
-        sentences.append(np.array(ids, dtype=np.intp))
-        n = len(ids)
-        for pos in range(n):
-            total_pairs += min(n, pos + cfg.window + 1) - max(0, pos - cfg.window) - 1
-    if total_pairs == 0:
+    sentences = [[vocab.id_of(t) for t in doc.tokens if t in vocab] for doc in corpus.documents]
+    centers, contexts = _pairs(sentences, cfg.window)
+    if len(centers) == 0:
         raise NoTrainingPairs("window over the corpus yields no (center, context) pairs")
 
-    counts = np.array([vocab.count_of(t) for t in vocab.terms], dtype=np.float64)
-    noise_cdf = np.cumsum(negative_sampling_distribution(counts))
-
+    noise_cdf = np.cumsum(negative_sampling_distribution([vocab.count_of(t) for t in vocab.terms]))
     rng = np.random.default_rng(cfg.rng_seed)
-    vocab_size = len(vocab)
-    syn0 = (rng.random((vocab_size, cfg.dim)) - 0.5) / cfg.dim
-    syn1 = np.zeros((vocab_size, cfg.dim))
+    syn0 = (rng.random((len(vocab), cfg.dim)) - 0.5) / cfg.dim
+    syn1 = np.zeros_like(syn0)
 
-    total_updates = total_pairs * cfg.epochs
-    lr_span = cfg.lr_final - cfg.lr_initial
-    step = 0
-    for _ in range(cfg.epochs):
-        for sent in sentences:
-            n = len(sent)
-            for pos in range(n):
-                center = sent[pos]
-                lo = max(0, pos - cfg.window)
-                hi = min(n, pos + cfg.window + 1)
-                for ctx_pos in range(lo, hi):
-                    if ctx_pos == pos:
-                        continue
-                    context = sent[ctx_pos]
-                    lr = cfg.lr_initial + lr_span * (step / total_updates)
-                    step += 1
-
-                    center_vec = syn0[center]
-                    grad = np.zeros(cfg.dim)
-                    draws = np.searchsorted(noise_cdf, rng.random(cfg.negatives))
-                    draws = np.minimum(draws, vocab_size - 1)
-                    targets = [(context, 1.0)]
-                    targets += [(int(t), 0.0) for t in draws if t != context]
-                    for target, label in targets:
-                        out_vec = syn1[target]
-                        g = lr * (label - _sigmoid(float(np.dot(center_vec, out_vec))))
-                        grad += g * out_vec
-                        syn1[target] = out_vec + g * center_vec
-                    syn0[center] = center_vec + grad
+    n_pairs, total = len(centers), len(centers) * cfg.epochs
+    labels = np.r_[1.0, np.zeros(cfg.negatives)]
+    for epoch_start in range(0, total, n_pairs):
+        for lo in range(0, n_pairs, BATCH_PAIRS):
+            center, context = centers[lo : lo + BATCH_PAIRS], contexts[lo : lo + BATCH_PAIRS]
+            steps = epoch_start + lo + np.arange(len(center))
+            lr = cfg.lr_initial + (cfg.lr_final - cfg.lr_initial) * (steps / total)
+            draws = np.searchsorted(noise_cdf, rng.random((len(center), cfg.negatives)))
+            targets = np.column_stack((context, np.minimum(draws, len(vocab) - 1)))
+            center_vecs, out_vecs = syn0[center], syn1[targets]
+            dots = np.clip(np.einsum("bd,btd->bt", center_vecs, out_vecs), -60.0, 60.0)
+            g = lr[:, None] * (labels - 1.0 / (1.0 + np.exp(-dots)))
+            g[:, 1:][targets[:, 1:] == context[:, None]] = 0.0
+            _scatter_add(syn0, center, np.einsum("bt,btd->bd", g, out_vecs))
+            out_grads = np.einsum("bt,bd->btd", g, center_vecs).reshape(-1, cfg.dim)
+            _scatter_add(syn1, targets.ravel(), out_grads)
 
     return EmbeddingModel(dict(zip(vocab.terms, syn0)), dim=cfg.dim, month_key=corpus.month_key)
 

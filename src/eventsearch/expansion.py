@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -36,6 +37,7 @@ class StopwordList:
         self._words = frozenset(cleaned)
 
     @classmethod
+    @cache  # parsed once per process and shared: the list is immutable
     def built_in(cls) -> "StopwordList":
         text = resources.files("eventsearch").joinpath("data/stopwords.txt").read_text("utf-8")
         return cls._parse(text.splitlines())

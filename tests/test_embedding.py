@@ -9,8 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eventsearch.embedding import (
+    BATCH_PAIRS,
     EmbeddingModel,
     TrainConfig,
+    _pairs,
     cosine_similarity,
     load_vectors,
     most_similar,
@@ -102,6 +104,23 @@ class TestSim:
         for i in terms:
             for j in terms:
                 assert abs(sim(model, i, j) - sim(model, j, i)) <= 1e-12
+
+    def test_matches_cosine_of_the_rows(self):
+        rng = np.random.default_rng(10)
+        vectors = {f"w{i}": rng.normal(size=5) * 10.0 ** rng.integers(-3, 4) for i in range(12)}
+        model = EmbeddingModel(vectors, dim=5)
+        for i in vectors:
+            for j in vectors:
+                expected = 1.0 if i == j else cosine_similarity(vectors[i], vectors[j])
+                assert sim(model, i, j) == pytest.approx(expected, abs=1e-12)
+                assert -1.0 <= sim(model, i, j) <= 1.0
+
+    def test_zero_row(self):
+        model = model_from({"z": (0.0, 0.0), "a": (1.0, 0.0)})
+        assert sim(model, "z", "z") == 1.0
+        for i, j in (("z", "a"), ("a", "z")):
+            with pytest.raises(ZeroVector):
+                sim(model, i, j)
 
 
 FIXTURE = {"q": (1.0, 0.0), "a": (1.0, 0.0), "b": (0.8, 0.6), "c": (0.0, 1.0)}
@@ -311,6 +330,47 @@ class TestVectorFileFormat:
         assert [p.name for p in tmp_path.iterdir()] == ["m.vec"]
 
 
+def reference_pairs(sentences, window):
+    """(center, context) pairs by the nested position loops of a per-pair trainer."""
+    pairs = []
+    for sent in sentences:
+        n = len(sent)
+        for pos in range(n):
+            for ctx_pos in range(max(0, pos - window), min(n, pos + window + 1)):
+                if ctx_pos != pos:
+                    pairs.append((sent[pos], sent[ctx_pos]))
+    return pairs
+
+
+class TestPairs:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, 30), max_size=10), max_size=6),
+        st.integers(1, 6),
+    )
+    def test_matches_nested_loops(self, sentences, window):
+        centers, contexts = _pairs(sentences, window)
+        assert list(zip(centers.tolist(), contexts.tolist())) == reference_pairs(sentences, window)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 10), max_size=6), st.integers(1, 6))
+    def test_no_training_pairs_exactly_when_none(self, lengths, window):
+        # distinct tokens, all kept by min_count=1, so no document loses a position
+        lists, serial = [], iter(range(100))
+        for n in lengths:
+            lists.append([f"t{next(serial)}" for _ in range(n)])
+        corpus = corpus_from_token_lists(lists)
+        cfg = TrainConfig(dim=2, window=window, negatives=1, epochs=1, min_count=1)
+        if sum(lengths) == 0:
+            with pytest.raises(EmptyVocabulary):
+                train(corpus, cfg)
+        elif not reference_pairs(lists, window):
+            with pytest.raises(NoTrainingPairs):
+                train(corpus, cfg)
+        else:
+            assert len(train(corpus, cfg)) == sum(lengths)
+
+
 class TestTrain:
     def test_two_word_vocabulary(self):
         corpus = corpus_from_token_lists([["x", "y"]])
@@ -320,6 +380,22 @@ class TestTrain:
         assert model.dim == 8
         assert model.vector("x").shape == (8,)
         assert model.month_key == corpus.month_key
+
+    def test_one_term_vocabulary_by_hand(self):
+        # every noise draw is the context itself and is dropped, so each pair makes
+        # only its positive update, and both vectors stay on the initial direction
+        cfg = TrainConfig(dim=4, epochs=3, min_count=1)
+        model = train(corpus_from_token_lists([["x", "x"]] * 50), cfg)
+        n_pairs, total = 100, 300
+        lr = cfg.lr_initial + (cfg.lr_final - cfg.lr_initial) * np.arange(total) / total
+        syn0 = (np.random.default_rng(cfg.rng_seed).random(4) - 0.5) / 4
+        syn1 = np.zeros(4)
+        for start in range(0, total, n_pairs):
+            for lo in range(0, n_pairs, BATCH_PAIRS):
+                batch_lr = lr[start + lo : start + min(lo + BATCH_PAIRS, n_pairs)]
+                g = np.sum(batch_lr * (1.0 - 1.0 / (1.0 + math.exp(-(syn0 @ syn1)))))
+                syn0, syn1 = syn0 + g * syn1, syn1 + g * syn0
+        assert np.allclose(model.vector("x"), syn0, rtol=1e-12, atol=0.0)
 
     def test_one_token_docs_have_no_pairs(self):
         corpus = corpus_from_token_lists([["x"], ["x"], ["x"]])
@@ -357,13 +433,15 @@ class TestTrain:
         for term in model.terms:
             assert np.linalg.norm(model.vector(term)) > 0.0
 
-    def test_cooccurrence_beats_disjoint(self):
-        model = train(cooccurrence_corpus())
+    @pytest.mark.parametrize("rng_seed", range(5))
+    def test_cooccurrence_beats_disjoint(self, rng_seed):
+        model = train(cooccurrence_corpus(), TrainConfig(rng_seed=rng_seed))
         assert sim(model, "a", "b") > sim(model, "a", "c")
 
-    def test_seasonal_drift(self):
+    @pytest.mark.parametrize("rng_seed", range(5))
+    def test_seasonal_drift(self, rng_seed):
         month1, month2 = drift_corpora()
-        cfg = TrainConfig(**DRIFT_CONFIG)
+        cfg = TrainConfig(**DRIFT_CONFIG, rng_seed=rng_seed)
         model1 = train(month1, cfg)
         model2 = train(month2, cfg)
         assert most_similar(model1, "p", k=1, min_sim=-1.0)[0][0] == "a"

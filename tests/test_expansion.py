@@ -278,6 +278,16 @@ class TestStopwordList:
             assert word == word.lower()
             assert not any(ch.isspace() for ch in word)
 
+    def test_built_in_list_is_parsed_once(self):
+        assert StopwordList.built_in() is StopwordList.built_in()
+
+    def test_from_file_reads_the_file_each_time(self, tmp_path):
+        path = tmp_path / "stops.txt"
+        path.write_text("foo\n", encoding="utf-8")
+        first = StopwordList.from_file(path)
+        path.write_text("bar\n", encoding="utf-8")
+        assert list(StopwordList.from_file(path)) == ["bar"] and list(first) == ["foo"]
+
     def test_from_file_with_comments(self, tmp_path):
         path = tmp_path / "stops.txt"
         path.write_text("# comment\nfoo\n\nbar\n", encoding="utf-8")

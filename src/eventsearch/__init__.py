@@ -19,7 +19,6 @@ from .corpus import (
 from .embedding import (
     EmbeddingModel,
     TrainConfig,
-    cosine_similarity,
     load_vectors,
     most_similar,
     save_vectors,
@@ -48,7 +47,6 @@ __all__ = [
     "TrainConfig",
     "Vocabulary",
     "build_index",
-    "cosine_similarity",
     "expand_query",
     "ingest",
     "load_index",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .corpus import MonthlyCorpus, format_month, ingest, parse_month, segment_by_month
@@ -66,11 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=TrainConfig.window)
     p.add_argument("--negatives", type=int, default=TrainConfig.negatives)
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--lr", type=float, default=TrainConfig.lr_initial, help="initial learning rate")
+    p.add_argument("--lr", type=float, default=TrainConfig.lr_initial, dest="lr_initial",
+                   metavar="LR", help="initial learning rate")
     p.add_argument("--lr-final", type=float, default=TrainConfig.lr_final)
     p.add_argument("--min-count", type=int, default=TrainConfig.min_count)
-    p.add_argument("--seed", type=int, default=TrainConfig.rng_seed,
-                   help="RNG seed for reproducible training")
+    p.add_argument("--seed", type=int, default=TrainConfig.rng_seed, dest="rng_seed",
+                   metavar="SEED", help="RNG seed for reproducible training")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("neighbors", help="list nearest vocabulary terms for a word")
@@ -162,16 +164,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = TrainConfig(
-        dim=args.dim,
-        window=args.window,
-        negatives=args.negatives,
-        epochs=args.epochs,
-        lr_initial=args.lr,
-        lr_final=args.lr_final,
-        min_count=args.min_count,
-        rng_seed=args.seed,
-    )
+    cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     documents = _read_documents(args.input)
     part = _pick_partition(segment_by_month(documents), args.month)
     model = train(part, cfg)

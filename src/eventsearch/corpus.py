@@ -17,7 +17,7 @@ from .errors import DuplicateDocumentId
 
 # Maximal runs of Unicode alphanumerics; underscore and all punctuation split.
 _ALNUM_RUN = re.compile(r"[^\W_]+", re.UNICODE)
-_ISO_DATE = re.compile(r"\d{4}-\d{2}-\d{2}")
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 MonthKey = tuple[int, int]
 
@@ -39,9 +39,19 @@ def format_month(month_key: MonthKey) -> str:
     return f"{month_key[0]:04d}-{month_key[1]:02d}"
 
 
+def parse_date(text: str) -> date:
+    """Parse a YYYY-MM-DD date in ASCII digits; raises ValueError otherwise."""
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"invalid date {text!r}, expected YYYY-MM-DD")
+    try:
+        return date.fromisoformat(text)
+    except ValueError:
+        raise ValueError(f"invalid date {text!r}") from None
+
+
 def parse_month(text: str) -> MonthKey:
     """Parse a YYYY-MM selector; raises ValueError if malformed."""
-    m = re.fullmatch(r"(\d{4})-(\d{2})", text)
+    m = re.fullmatch(r"([0-9]{4})-([0-9]{2})", text)
     if m is None:
         raise ValueError(f"expected YYYY-MM, got {text!r}")
     year, month = int(m.group(1)), int(m.group(2))
@@ -147,13 +157,7 @@ def parse_record_line(line: str) -> ItemDocument:
     if len(fields) != 4:
         raise ValueError(f"expected 4 tab-separated fields, got {len(fields)}")
     doc_id, date_text, category, title = fields
-    if not _ISO_DATE.fullmatch(date_text):
-        raise ValueError(f"invalid date {date_text!r}, expected YYYY-MM-DD")
-    try:
-        sold = date.fromisoformat(date_text)
-    except ValueError:
-        raise ValueError(f"invalid date {date_text!r}") from None
-    return ItemDocument.create(doc_id, sold, category, title)
+    return ItemDocument.create(doc_id, parse_date(date_text), category, title)
 
 
 def ingest(lines: Iterable[str]) -> IngestResult:

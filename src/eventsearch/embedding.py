@@ -59,26 +59,29 @@ class TrainConfig:
 class EmbeddingModel:
     """Immutable term -> vector map for one month, held as one read-only (V, dim) matrix."""
 
-    def __init__(self, vectors: dict[str, np.ndarray], dim: int, month_key: MonthKey | None = None):
-        if dim < 1:
-            raise ValueError(f"dim must be positive, got {dim}")
-        for term, vec in vectors.items():
-            if vec.shape != (dim,):
-                raise DimensionMismatch(
-                    f"vector for {term!r} has shape {vec.shape}, expected ({dim},)"
-                )
-        self._terms = list(vectors)
-        self._rows = {term: i for i, term in enumerate(self._terms)}
-        self._matrix = np.array(list(vectors.values()), dtype=np.float64).reshape(-1, dim)
+    def __init__(self, terms: Iterable[str], matrix: np.ndarray, month_key: MonthKey | None = None):
+        """Row i of matrix is the vector of the i-th term; the model keeps its own copy."""
+        self._terms = list(terms)
+        self._matrix = np.array(matrix, dtype=np.float64)
+        if self._matrix.ndim != 2 or len(self._matrix) != len(self._terms):
+            raise DimensionMismatch(
+                f"matrix has shape {self._matrix.shape}, expected ({len(self._terms)}, dim)"
+            )
+        self.dim = self._matrix.shape[1]
+        if self.dim < 1:
+            raise ValueError(f"dim must be positive, got {self.dim}")
+        self._rows: dict[str, int] = {}
+        for i, term in enumerate(self._terms):
+            if self._rows.setdefault(term, i) != i:
+                raise ValueError(f"duplicate term {term!r}")
         self._norms = np.linalg.norm(self._matrix, axis=1)
         self._matrix.flags.writeable = False
         self._norms.flags.writeable = False
-        self.dim = dim
         self.month_key = month_key
 
     @property
     def terms(self) -> list[str]:
-        """Vocabulary in insertion order (training writes frequency order)."""
+        """Terms in row order (training writes frequency order)."""
         return list(self._terms)
 
     def vector(self, term: str) -> np.ndarray:
@@ -91,20 +94,6 @@ class EmbeddingModel:
 
     def __len__(self) -> int:
         return len(self._terms)
-
-
-def cosine_similarity(a: Iterable[float], b: Iterable[float]) -> float:
-    """dot(a, b) / (|a| |b|), clamped to [-1, 1] against float drift."""
-    va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
-    if va.shape != vb.shape:
-        raise DimensionMismatch(f"vector lengths differ: {va.shape} vs {vb.shape}")
-    norm_a = float(np.linalg.norm(va))
-    norm_b = float(np.linalg.norm(vb))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ZeroVector("cosine similarity undefined for zero-magnitude vector")
-    value = float(np.dot(va, vb)) / (norm_a * norm_b)
-    return max(-1.0, min(1.0, value))
 
 
 def sim(model: EmbeddingModel, i: str, j: str) -> float:
@@ -223,7 +212,7 @@ def train(corpus: MonthlyCorpus, cfg: TrainConfig | None = None) -> EmbeddingMod
             out_grads = np.einsum("bt,bd->btd", g, center_vecs).reshape(-1, cfg.dim)
             _scatter_add(syn1, targets.ravel(), out_grads)
 
-    return EmbeddingModel(dict(zip(vocab.terms, syn0)), dim=cfg.dim, month_key=corpus.month_key)
+    return EmbeddingModel(vocab.terms, syn0, corpus.month_key)
 
 
 def save_vectors(model: EmbeddingModel, dest: PathOrFile) -> None:
@@ -261,13 +250,14 @@ def load_vectors(source: PathOrFile, month_key: MonthKey | None = None) -> Embed
             f"header promises {vocab_size} rows, file has {len(lines) - 1}", line=len(lines)
         )
 
-    vectors: dict[str, np.ndarray] = {}
+    words: dict[str, None] = {}  # an ordered set, for the duplicate check
+    matrix = np.empty((vocab_size, dim), dtype=np.float64)
     for lineno, row in enumerate(lines[1:], start=2):
         fields = row.split(" ")
         word = fields[0]
         if not word:
             raise FormatError("row starts with an empty word", line=lineno)
-        if word in vectors:
+        if word in words:
             raise FormatError(f"duplicate word {word!r}", line=lineno)
         if len(fields) - 1 != dim:
             raise DimensionMismatch(
@@ -279,5 +269,6 @@ def load_vectors(source: PathOrFile, month_key: MonthKey | None = None) -> Embed
             raise FormatError(f"non-numeric vector component in row {word!r}", line=lineno) from None
         if not all(map(math.isfinite, components)):
             raise FormatError(f"non-finite vector component in row {word!r}", line=lineno)
-        vectors[word] = np.array(components, dtype=np.float64)
-    return EmbeddingModel(vectors, dim=dim, month_key=month_key)
+        matrix[lineno - 2] = components
+        words[word] = None
+    return EmbeddingModel(words, matrix, month_key)

@@ -9,7 +9,7 @@ per-term delta factor of the ranking formula.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from importlib import resources
 from pathlib import Path
@@ -148,15 +148,11 @@ def expand_query(
     term is a stop word. Seed terms missing from the vocabulary contribute
     no candidates but stay in the query.
     """
-    _check_expansion_params(k, min_sim)
+    query = seed_only_query(seed, stopwords, k, min_sim)
     stopwords = stopwords if stopwords is not None else StopwordList.built_in()
-    terms = normalize_seed(seed)
-    if not terms:
-        raise EmptySeed("no seed terms left after normalization")
-    stops = frozenset(t for t in terms if t in stopwords)
-    content_terms = [t for t in terms if t not in stops]
+    content_terms = [t for t in query.seed_terms if t not in query.stopword_seeds]
     if not content_terms:
-        raise AllStopwords(f"every seed term is a stop word: {terms}")
+        raise AllStopwords(f"every seed term is a stop word: {list(query.seed_terms)}")
 
     in_vocab = [t for t in content_terms if t in model]
     month = "" if model.month_key is None else f"{format_month(model.month_key)} "
@@ -166,12 +162,12 @@ def expand_query(
     candidates: set[str] = set()
     for term in in_vocab:
         for neighbor, _ in most_similar(model, term, k, min_sim):
-            if neighbor not in stopwords and neighbor not in terms:
+            if neighbor not in stopwords and neighbor not in query.seed_terms:
                 candidates.add(neighbor)
 
     weighted = {j: max(sim(model, j, m) for m in in_vocab) for j in candidates}
     ordered = dict(sorted(weighted.items(), key=lambda item: (-item[1], item[0])))
-    return ExpandedQuery(tuple(terms), ordered, stops, k, min_sim)
+    return replace(query, expansion_terms=ordered)
 
 
 def format_expansion(query: ExpandedQuery) -> str:

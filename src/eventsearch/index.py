@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import math
 import re
-from datetime import date
 
-from .corpus import ItemDocument, MonthKey, MonthlyCorpus, format_month, parse_month, tokenize
+from .corpus import (ItemDocument, MonthKey, MonthlyCorpus, format_month, parse_date, parse_month,
+                     tokenize)
 from .errors import FormatError
 from .textfile import PathOrFile, read_lines, writer
 
@@ -91,7 +91,7 @@ def _parse_doc_line(line: str, lineno: int, month_key: MonthKey) -> ItemDocument
     if not _SERIALIZABLE_ID.fullmatch(doc_id):
         raise FormatError(f"invalid doc_id {doc_id!r}", line=lineno)
     try:
-        sold = date.fromisoformat(date_text)
+        sold = parse_date(date_text)
     except ValueError:
         raise FormatError(f"invalid date {date_text!r}", line=lineno) from None
     if (sold.year, sold.month) != month_key:

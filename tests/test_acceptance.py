@@ -84,7 +84,7 @@ def test_criterion_3_expansion_constraints():
         for i in range(12):
             vec = rng.normal(size=5)
             vectors[f"t{i:02d}"] = vec / np.linalg.norm(vec)
-        model = EmbeddingModel({t: np.asarray(v) for t, v in vectors.items()}, dim=5)
+        model = EmbeddingModel(list(vectors), np.array(list(vectors.values())))
         seeds = [f"t{i:02d}" for i in rng.choice(12, size=3, replace=False)]
         query = expand_query(seeds, model, stopwords, k=4, min_sim=0.6)
 
@@ -144,21 +144,15 @@ def test_criterion_7_recall_increase_arithmetic():
     no_stops = StopwordList([])
 
     expanding = EmbeddingModel(
-        {
-            "valentine": np.array([1.0, 0.0]),
-            "jewellery": np.array([0.8, 0.6]),
-            "stuff": np.array([0.0, 1.0]),
-        },
-        dim=2,
+        ["valentine", "jewellery", "stuff"],
+        np.array([[1.0, 0.0], [0.8, 0.6], [0.0, 1.0]]),
     )
     report = recall_increase(index, ["valentine"], expanding, no_stops, threshold=0.0)
     assert report.seed_hits == 4
     assert report.expanded_hits == 13
     assert report.increase_pct == 225.0
 
-    lonely = EmbeddingModel(
-        {"valentine": np.array([1.0, 0.0]), "stuff": np.array([0.0, 1.0])}, dim=2
-    )
+    lonely = EmbeddingModel(["valentine", "stuff"], np.array([[1.0, 0.0], [0.0, 1.0]]))
     empty = recall_increase(index, ["valentine"], lonely, no_stops, threshold=0.0)
     assert empty.expansion_terms == ()
     assert empty.increase_pct == 0.0
@@ -168,7 +162,7 @@ def test_criterion_8_format_round_trips():
     # vectors: exact vocabulary, per-component error <= 1e-6
     rng = np.random.default_rng(137)
     vectors = {f"w{i:02d}": rng.normal(size=7) for i in range(30)}
-    model = EmbeddingModel(vectors, dim=7)
+    model = EmbeddingModel(list(vectors), np.array(list(vectors.values())))
     buffer = io.StringIO()
     save_vectors(model, buffer)
     loaded = load_vectors(io.StringIO(buffer.getvalue()))

@@ -14,6 +14,7 @@ from eventsearch import cli
 from eventsearch.cli import main
 from eventsearch.corpus import MonthlyCorpus, ingest, segment_by_month
 from eventsearch.embedding import TrainConfig, load_vectors, save_vectors, train
+from eventsearch.errors import EventSearchError
 from eventsearch.evaluation import format_report, recall_increase
 from eventsearch.expansion import expand_query, format_expansion
 from eventsearch.index import load_index
@@ -112,6 +113,38 @@ class TestTrainCommand:
                 "--output", str(path), "--dim", "8", "--epochs", "2",
             )
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            ([], TrainConfig()),
+            (["--dim", "7"], replace(TrainConfig(), dim=7)),
+            (["--window", "3"], replace(TrainConfig(), window=3)),
+            (["--negatives", "2"], replace(TrainConfig(), negatives=2)),
+            (["--epochs", "9"], replace(TrainConfig(), epochs=9)),
+            (["--lr", "0.5"], replace(TrainConfig(), lr_initial=0.5)),
+            (["--lr-final", "0.001"], replace(TrainConfig(), lr_final=0.001)),
+            (["--min-count", "3"], replace(TrainConfig(), min_count=3)),
+            (["--seed", "11"], replace(TrainConfig(), rng_seed=11)),
+        ],
+        ids=["defaults", "dim", "window", "negatives", "epochs", "lr", "lr-final", "min-count",
+             "seed"],
+    )
+    def test_each_flag_reaches_its_config_field(self, workspace, capsys, monkeypatch,
+                                                flags, expected):
+        configs = []
+
+        def fake_train(corpus, cfg):
+            configs.append(cfg)
+            raise EventSearchError("stop before training")
+
+        monkeypatch.setattr(cli, "train", fake_train)
+        code, _, _ = run(
+            capsys, "train", "--input", str(workspace / "corpus.tsv"), "--month", "2018-02",
+            "--output", str(workspace / "x.vec"), *flags,
+        )
+        assert code == 2
+        assert configs == [expected]
 
     def test_multi_month_without_selector_fails(self, workspace, capsys):
         code, _, err = run(

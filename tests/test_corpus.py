@@ -164,7 +164,10 @@ class TestMonthHelpers:
         assert parse_month("2018-02") == (2018, 2)
         assert format_month((2018, 2)) == "2018-02"
 
-    @pytest.mark.parametrize("bad", ["2018-2", "2018/02", "2018-13", "abcd-ef", "2018-02-01"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["2018-2", "2018/02", "2018-13", "abcd-ef", "2018-02-01", "\u0662\u0660\u0661\u0668-\u0660\u0662"],
+    )
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_month(bad)

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from eventsearch.embedding import (
     BATCH_PAIRS,
     EmbeddingModel,
     TrainConfig,
     _pairs,
-    cosine_similarity,
     load_vectors,
     most_similar,
     negative_sampling_distribution,
@@ -39,42 +39,42 @@ from util import (
 )
 
 
-def model_from(vectors, dim=2):
-    return EmbeddingModel({t: np.array(v, dtype=float) for t, v in vectors.items()}, dim=dim)
+def model_from(vectors):
+    return EmbeddingModel(list(vectors), np.array(list(vectors.values()), dtype=float))
 
 
-class TestCosineSimilarity:
-    def test_identical_vectors(self):
-        assert cosine_similarity((3.0, 4.0), (3.0, 4.0)) == pytest.approx(1.0, abs=1e-12)
+class TestEmbeddingModel:
+    def test_dim_comes_from_the_matrix(self):
+        model = EmbeddingModel(["a", "b"], np.arange(6).reshape(2, 3))
+        assert (model.dim, model.terms, len(model)) == (3, ["a", "b"], 2)
+        assert model.vector("b").tolist() == [3.0, 4.0, 5.0]
+        assert model.vector("b").dtype == np.float64
 
-    def test_orthogonal(self):
-        assert cosine_similarity((1.0, 0.0), (0.0, 1.0)) == 0.0
-
-    def test_antiparallel(self):
-        assert cosine_similarity((1.0, 0.0), (-1.0, 0.0)) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroVector):
-            cosine_similarity((0.0, 0.0), (1.0, 2.0))
-
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("matrix", [np.ones(2), np.ones((2, 2, 1)), np.float64(1.0)])
+    def test_matrix_not_2d(self, matrix):
         with pytest.raises(DimensionMismatch):
-            cosine_similarity((1.0, 2.0), (1.0, 2.0, 3.0))
+            EmbeddingModel(["a", "b"], matrix)
 
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            a = rng.normal(size=8)
-            b = rng.normal(size=8)
-            assert cosine_similarity(2 * a, b) == pytest.approx(
-                cosine_similarity(a, b), abs=1e-9
-            )
+    @pytest.mark.parametrize("rows", [0, 1, 3])
+    def test_wrong_row_count(self, rows):
+        with pytest.raises(DimensionMismatch):
+            EmbeddingModel(["a", "b"], np.ones((rows, 2)))
 
-    def test_clamped_to_unit_interval(self):
-        rng = np.random.default_rng(6)
-        for _ in range(200):
-            a = rng.normal(size=4) * 10.0 ** rng.integers(-3, 4)
-            assert -1.0 <= cosine_similarity(a, a) <= 1.0
+    @pytest.mark.parametrize("terms", [[], ["a"]])
+    def test_zero_columns(self, terms):
+        with pytest.raises(ValueError, match="dim must be positive"):
+            EmbeddingModel(terms, np.ones((len(terms), 0)))
+
+    def test_duplicate_terms(self):
+        with pytest.raises(ValueError, match="duplicate term 'a'"):
+            EmbeddingModel(["a", "b", "a"], np.ones((3, 2)))
+
+    def test_empty_model_keeps_its_dim(self):
+        model = EmbeddingModel([], np.empty((0, 7)))
+        assert (model.dim, model.terms, len(model)) == (7, [], 0)
+        assert "a" not in model
+        assert saved(model) == "0 7\n"
+        assert load_vectors(io.StringIO(saved(model))).dim == 7
 
 
 class TestSim:
@@ -99,7 +99,7 @@ class TestSim:
     def test_symmetry_exact(self):
         rng = np.random.default_rng(9)
         vectors = {f"w{i}": rng.normal(size=6) for i in range(12)}
-        model = EmbeddingModel(vectors, dim=6)
+        model = model_from(vectors)
         terms = list(vectors)
         for i in terms:
             for j in terms:
@@ -108,10 +108,10 @@ class TestSim:
     def test_matches_cosine_of_the_rows(self):
         rng = np.random.default_rng(10)
         vectors = {f"w{i}": rng.normal(size=5) * 10.0 ** rng.integers(-3, 4) for i in range(12)}
-        model = EmbeddingModel(vectors, dim=5)
+        model = model_from(vectors)
         for i in vectors:
             for j in vectors:
-                expected = 1.0 if i == j else cosine_similarity(vectors[i], vectors[j])
+                expected = 1.0 if i == j else hand_cosine(vectors[i], vectors[j])
                 assert sim(model, i, j) == pytest.approx(expected, abs=1e-12)
                 assert -1.0 <= sim(model, i, j) <= 1.0
 
@@ -137,7 +137,7 @@ def small_models(draw):
     for _ in range(draw(st.integers(0, 2))):
         scale = draw(st.integers(1, 3))
         rows.append([scale * c for c in draw(st.sampled_from(rows))])
-    return {f"t{i}": np.array(r, dtype=float) for i, r in enumerate(rows)}, dim
+    return {f"t{i}": np.array(r, dtype=float) for i, r in enumerate(rows)}
 
 
 def saved(model):
@@ -200,8 +200,8 @@ class TestMostSimilar:
     @settings(max_examples=200, deadline=None)
     @given(small_models(), st.data(), st.integers(1, 5), st.floats(-1.0, 1.0, exclude_max=True))
     def test_matches_brute_force_scan(self, drawn, data, k, min_sim):
-        vectors, dim = drawn
-        model = EmbeddingModel(vectors, dim=dim)
+        vectors = drawn
+        model = model_from(vectors)
         term = data.draw(st.sampled_from(sorted(vectors)))
         if not vectors[term].any():
             with pytest.raises(ZeroVector):
@@ -225,11 +225,10 @@ class TestMostSimilar:
             assert abs(brute[got_term] - exp_score) <= 1e-9
 
     def test_model_keeps_its_own_copy(self):
-        vectors = {t: np.array(v, dtype=float) for t, v in FIXTURE.items()}
-        model = EmbeddingModel(vectors, dim=2)
+        matrix = np.array(list(FIXTURE.values()))
+        model = EmbeddingModel(list(FIXTURE), matrix)
         before = most_similar(model, "q", k=4, min_sim=-1.0), saved(model)
-        for vec in vectors.values():
-            vec[:] = 7.0
+        matrix[:] = 7.0
         model.vector("q")[:] = 7.0
         model.vector("c")[:] = 0.0
         assert (most_similar(model, "q", k=4, min_sim=-1.0), saved(model)) == before
@@ -244,7 +243,7 @@ class TestMostSimilar:
 
 class TestVectorFileFormat:
     def test_header_line(self):
-        model = model_from({"a": (1.0, 2.0, 3.0), "b": (4.0, 5.0, 6.0)}, dim=3)
+        model = model_from({"a": (1.0, 2.0, 3.0), "b": (4.0, 5.0, 6.0)})
         out = io.StringIO()
         save_vectors(model, out)
         assert out.getvalue().splitlines()[0] == "2 3"
@@ -252,7 +251,7 @@ class TestVectorFileFormat:
     def test_round_trip(self):
         rng = np.random.default_rng(13)
         vectors = {f"w{i}": rng.normal(size=5) for i in range(20)}
-        model = EmbeddingModel(vectors, dim=5)
+        model = model_from(vectors)
         out = io.StringIO()
         save_vectors(model, out)
         loaded = load_vectors(io.StringIO(out.getvalue()))
@@ -262,7 +261,7 @@ class TestVectorFileFormat:
             assert np.max(np.abs(loaded.vector(term) - vectors[term])) <= 1e-6
 
     def test_round_trip_via_path(self, tmp_path):
-        model = model_from({"x": (0.1, -2.5)}, dim=2)
+        model = model_from({"x": (0.1, -2.5)})
         path = tmp_path / "m.vec"
         save_vectors(model, path)
         loaded = load_vectors(path)
@@ -328,6 +327,34 @@ class TestVectorFileFormat:
             save_vectors(model, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.vec"]
+
+
+_COMPONENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def vector_models(draw):
+    """Unique terms and a finite float64 matrix, zero rows included."""
+    terms = draw(st.lists(st.text("abz09é:-", min_size=1, max_size=3), max_size=5, unique=True))
+    dim = draw(st.integers(1, 4))
+    return terms, draw(arrays(np.float64, (len(terms), dim), elements=_COMPONENTS))
+
+
+@settings(max_examples=100, deadline=None)
+@given(vector_models())
+def test_vector_round_trip_is_exact_and_every_prefix_fails(drawn):
+    terms, matrix = drawn
+    text = saved(EmbeddingModel(terms, matrix))
+    loaded = load_vectors(io.StringIO(text))
+    assert (loaded.terms, loaded.dim) == (terms, matrix.shape[1])
+    assert loaded._matrix.tobytes() == matrix.tobytes()
+    assert saved(loaded) == text
+    for cut in range(len(text)):
+        with pytest.raises(FormatError):
+            load_vectors(io.StringIO(text[:cut]))
 
 
 def reference_pairs(sentences, window):

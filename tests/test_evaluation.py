@@ -15,8 +15,8 @@ from util import corpus_from_token_lists, random_docs
 NO_STOPS = StopwordList([])
 
 
-def model_from(vectors, dim=2):
-    return EmbeddingModel({t: np.array(v, dtype=float) for t, v in vectors.items()}, dim=dim)
+def model_from(vectors):
+    return EmbeddingModel(list(vectors), np.array(list(vectors.values()), dtype=float))
 
 
 @pytest.fixture
@@ -81,9 +81,7 @@ class TestRecallIncrease:
             for w in pool:
                 vec = rng.normal(size=4)
                 vectors[w] = vec / np.linalg.norm(vec)
-            model = EmbeddingModel(
-                {t: np.asarray(v) for t, v in vectors.items()}, dim=4
-            )
+            model = EmbeddingModel(list(vectors), np.array(list(vectors.values())))
             seed = [str(rng.choice(pool))]
             index = build_index(corpus)
             try:

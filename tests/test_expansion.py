@@ -23,10 +23,8 @@ from oracle import oracle_expand
 from util import hand_cosine
 
 
-def model_from(vectors, dim=2, month_key=None):
-    return EmbeddingModel(
-        {t: np.array(v, dtype=float) for t, v in vectors.items()}, dim=dim, month_key=month_key
-    )
+def model_from(vectors, month_key=None):
+    return EmbeddingModel(list(vectors), np.array(list(vectors.values()), dtype=float), month_key)
 
 
 NO_STOPS = StopwordList([])
@@ -148,7 +146,7 @@ class TestExpandQuery:
         script = (
             "import numpy as np\n"
             "from eventsearch import EmbeddingModel, expand_query\n"
-            "model = EmbeddingModel({'a': np.array([1.0, 0.0])}, dim=2)\n"
+            "model = EmbeddingModel(['a'], np.array([[1.0, 0.0]]))\n"
             "expand_query(['zzz a'], model)\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -192,7 +190,7 @@ class TestAgainstOracle:
         stops = StopwordList(["t00", "t01"])
         for _ in range(30):
             vectors = random_model(rng)
-            model = model_from(vectors, dim=4)
+            model = model_from(vectors)
             seeds = [f"t{i:02d}" for i in rng.choice(14, size=3, replace=False)]
             k = int(rng.integers(1, 5))
             query = expand_query(seeds, model, stops, k=k, min_sim=0.6)
@@ -208,7 +206,7 @@ class TestAgainstOracle:
 class TestInvariants:
     def _random_setup(self, rng):
         vectors = random_model(rng, n_terms=16)
-        model = model_from(vectors, dim=4)
+        model = model_from(vectors)
         seeds = [f"t{i:02d}" for i in rng.choice(16, size=2, replace=False)]
         return model, seeds
 

@@ -157,6 +157,7 @@ class TestPersistence:
             "INDEXv2 2018-2 0\n",
             "INDEXv2 2018-02 two\n",
             "INDEXv2 2018-02 -1\n",
+            "INDEXv2 \u0662\u0660\u0661\u0668-\u0660\u0662 1\nD d1 2018-02-01 0 a\n",
         ):
             with pytest.raises(FormatError) as excinfo:
                 load_index(io.StringIO(text))
@@ -189,6 +190,8 @@ class TestPersistence:
             "INDEXv2 2018-02 1\nD d1 2018-02-01 0 \n",
             "INDEXv2 2018-02 1\nD  2018-02-01 0 a\n",
             "INDEXv2 2018-02 2\nD d1 2018-02-01 0 a\nD d1 2018-02-02 0 b\n",
+            "INDEXv2 2018-02 1\nD x 20180201 0 a\n",
+            "INDEXv2 2018-02 1\nD x 2018-W05-4 0 a\n",
         ):
             with pytest.raises(FormatError) as excinfo:
                 load_index(io.StringIO(text))

@@ -197,7 +197,7 @@ def cmd_index(args) -> int:
     save_index(index, args.output)
     log.info(
         "indexed %s: %d docs, %d terms -> %s",
-        format_month(part.month_key), index.doc_count, len(index.postings), args.output,
+        format_month(part.month_key), index.doc_count, len(index.terms), args.output,
     )
     return 0
 

@@ -25,7 +25,7 @@ from .errors import (
     OutOfVocabulary,
     ZeroVector,
 )
-from .textfile import PathOrFile, read_lines, writer
+from .textfile import FIELD, PathOrFile, read_lines, writer
 
 NOISE_POWER = 0.75
 # (center, context) pairs per SGD step. A batch reads the vectors as they stood before
@@ -220,7 +220,11 @@ def save_vectors(model: EmbeddingModel, dest: PathOrFile) -> None:
 
     Header line is "<vocab_size> <dim>"; each row is the word followed by
     its components as shortest round-trip decimals, space-separated.
+    A term that is empty or holds whitespace raises FormatError before dest is touched.
     """
+    for term in model._terms:
+        if not FIELD.fullmatch(term):
+            raise FormatError(f"term {term!r} cannot be written in vector format")
     with writer(dest) as handle:
         handle.write(f"{len(model)} {model.dim}\n")
         for term, row in zip(model._terms, model._matrix):
@@ -232,18 +236,18 @@ def load_vectors(source: PathOrFile, month_key: MonthKey | None = None) -> Embed
     """Read a word2vec text file back into an EmbeddingModel.
 
     Raises FormatError (with the offending line number) on malformed
-    content, including nan and inf components, and DimensionMismatch when
-    a row's component count differs from the header.
+    content, including nan and inf components and number forms that float()
+    reads but save_vectors never writes ('1_0', '\u0661', whitespace but ' '),
+    and DimensionMismatch when a row's component count differs from the header.
     """
     lines = read_lines(source, "vector")
     header = lines[0].split(" ")
     if len(header) != 2:
         raise FormatError(f"header must be '<vocab_size> <dim>', got {lines[0]!r}", line=1)
-    try:
-        vocab_size, dim = int(header[0]), int(header[1])
-    except ValueError:
-        raise FormatError(f"non-integer header fields in {lines[0]!r}", line=1) from None
-    if vocab_size < 0 or dim < 1:
+    if not all(field.isascii() and field.isdigit() for field in header):
+        raise FormatError(f"non-integer header fields in {lines[0]!r}", line=1)
+    vocab_size, dim = int(header[0]), int(header[1])
+    if dim < 1:
         raise FormatError(f"invalid header sizes {vocab_size} {dim}", line=1)
     if len(lines) - 1 != vocab_size:
         raise FormatError(
@@ -263,6 +267,10 @@ def load_vectors(source: PathOrFile, month_key: MonthKey | None = None) -> Embed
             raise DimensionMismatch(
                 f"line {lineno}: row has {len(fields) - 1} components, header says {dim}"
             )
+        text = row[len(word) + 1 :]
+        if (not text.isascii() or "_" in text or "\t" in text or "\r" in text or "\x0b" in text
+                or "\x0c" in text):
+            raise FormatError(f"number in a form never written, in row {word!r}", line=lineno)
         try:
             components = [float(c) for c in fields[1:]]
         except ValueError:

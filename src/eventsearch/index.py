@@ -1,4 +1,4 @@
-"""Inverted index over one monthly partition: postings, document lengths, and smoothed idf.
+"""Inverted index over one monthly partition: columnar postings, document lengths, smoothed idf.
 
 A built index is immutable and safe for unlimited concurrent readers.
 """
@@ -6,56 +6,68 @@ A built index is immutable and safe for unlimited concurrent readers.
 from __future__ import annotations
 
 import math
-import re
+from functools import cached_property
+
+import numpy as np
 
 from .corpus import (ItemDocument, MonthKey, MonthlyCorpus, format_month, parse_date, parse_month,
                      tokenize)
 from .errors import FormatError
-from .textfile import PathOrFile, read_lines, writer
+from .textfile import FIELD, PathOrFile, read_lines, writer
 
 FORMAT = "INDEXv2"
-# doc_ids travel through space-separated fields on disk
-_SERIALIZABLE_ID = re.compile(r"\S+")
 
 
 class InvertedIndex:
-    """term -> postings, document frequencies and lengths, and the document store."""
+    """Columnar postings (Zobel & Moffat, ACM CSUR 2006): term i of the sorted terms has
+    postings offsets[i]:offsets[i + 1] of doc_rows and tfs, in doc_id order; document row r
+    is doc_ids[r] (doc_store order), of doc_len[r] tokens and rank doc_rank[r] by doc_id."""
 
-    def __init__(
-        self,
-        month_key: MonthKey,
-        postings: dict[str, list[tuple[str, int]]],
-        doc_store: dict[str, ItemDocument],
-    ):
+    def __init__(self, month_key: MonthKey, doc_store: dict[str, ItemDocument]):
         self.month_key = month_key
-        self.postings = postings
         self.doc_store = doc_store
-        self.doc_freq = {term: len(plist) for term, plist in postings.items()}
+        self.doc_ids = list(doc_store)
         self.doc_count = len(doc_store)
-        self.doc_len = {doc_id: len(doc.tokens) for doc_id, doc in doc_store.items()}
+        self.doc_len = np.array([len(doc.tokens) for doc in doc_store.values()], np.int64)
         # mean token count over all documents; 0.0 for an empty index
-        self.avg_doc_len = sum(self.doc_len.values()) / self.doc_count if doc_store else 0.0
+        self.avg_doc_len = int(self.doc_len.sum()) / self.doc_count if doc_store else 0.0
+        # Python's order, not numpy's: numpy compares 'a\x00' equal to 'a'
+        by_rank = np.array(sorted(range(self.doc_count), key=self.doc_ids.__getitem__), np.intp)
+        self.doc_rank = np.argsort(by_rank)  # the inverse permutation
+        self.terms = sorted({token for doc in doc_store.values() for token in doc.tokens})
+        self.term_rows = {term: i for i, term in enumerate(self.terms)}
+        term_ids = [self.term_rows[token] for doc in doc_store.values() for token in doc.tokens]
+        # one sort over (term, doc rank) keys; a key's count is its posting's tf
+        n = max(self.doc_count, 1)
+        keys = np.array(term_ids, dtype=np.int64) * n + np.repeat(self.doc_rank, self.doc_len)
+        keys, self.tfs = np.unique(keys, return_counts=True)
+        self.offsets = np.searchsorted(keys, np.arange(len(self.terms) + 1) * n)
+        self.doc_rows = by_rank[keys % n]
+        for array in (self.doc_len, self.doc_rank, self.tfs, self.offsets, self.doc_rows):
+            array.flags.writeable = False
+
+    @cached_property
+    def postings(self) -> dict[str, list[tuple[str, int]]]:
+        """term -> [(doc_id, tf)] in doc_id order; a view derived on first access."""
+        pairs = list(zip(map(self.doc_ids.__getitem__, self.doc_rows.tolist()), self.tfs.tolist()))
+        bounds = self.offsets.tolist()
+        return {term: pairs[lo:hi] for term, lo, hi in zip(self.terms, bounds, bounds[1:])}
+
+    @cached_property
+    def doc_freq(self) -> dict[str, int]:
+        """term -> number of documents holding it; a view derived on first access."""
+        return dict(zip(self.terms, np.diff(self.offsets).tolist()))
 
     def idf(self, term: str) -> float:
         """ln((N + 1) / (df + 1)) + 1; smoothed, strictly positive."""
-        df = self.doc_freq.get(term, 0)
+        row = self.term_rows.get(term)
+        df = 0 if row is None else int(self.offsets[row + 1] - self.offsets[row])
         return math.log((self.doc_count + 1) / (df + 1)) + 1.0
 
 
 def build_index(corpus: MonthlyCorpus) -> InvertedIndex:
     """Index every (term, document) occurrence of a monthly corpus."""
-    postings: dict[str, list[tuple[str, int]]] = {}
-    doc_store: dict[str, ItemDocument] = {}
-    for doc in corpus.documents:
-        doc_store[doc.doc_id] = doc
-        counts: dict[str, int] = {}
-        for token in doc.tokens:
-            counts[token] = counts.get(token, 0) + 1
-        for term, count in counts.items():
-            postings.setdefault(term, []).append((doc.doc_id, count))
-    for plist in postings.values():
-        plist.sort(key=lambda entry: entry[0])
-    return InvertedIndex(corpus.month_key, postings, doc_store)
+    return InvertedIndex(corpus.month_key, {doc.doc_id: doc for doc in corpus.documents})
 
 
 def save_index(index: InvertedIndex, dest: PathOrFile) -> None:
@@ -68,7 +80,7 @@ def save_index(index: InvertedIndex, dest: PathOrFile) -> None:
     raise FormatError.
     """
     for doc_id in index.doc_store:
-        if not _SERIALIZABLE_ID.fullmatch(doc_id):
+        if not FIELD.fullmatch(doc_id):
             raise FormatError(f"doc_id {doc_id!r} cannot be serialized in index format")
     with writer(dest) as handle:
         handle.write(f"{FORMAT} {format_month(index.month_key)} {index.doc_count}\n")
@@ -88,7 +100,7 @@ def _parse_doc_line(line: str, lineno: int, month_key: MonthKey) -> ItemDocument
                           line=lineno)
     _, doc_id, date_text, cat_count_text = fields[:4]
     tokens = fields[4:]
-    if not _SERIALIZABLE_ID.fullmatch(doc_id):
+    if not FIELD.fullmatch(doc_id):
         raise FormatError(f"invalid doc_id {doc_id!r}", line=lineno)
     try:
         sold = parse_date(date_text)
@@ -98,11 +110,10 @@ def _parse_doc_line(line: str, lineno: int, month_key: MonthKey) -> ItemDocument
         raise FormatError(
             f"document dated {date_text} outside partition {format_month(month_key)}", line=lineno
         )
-    try:
-        cat_count = int(cat_count_text)
-    except ValueError:
-        raise FormatError(f"invalid category token count {cat_count_text!r}", line=lineno) from None
-    if not 0 <= cat_count <= len(tokens):
+    if not (cat_count_text.isascii() and cat_count_text.isdigit()):  # int() takes '+1', '١'
+        raise FormatError(f"invalid category token count {cat_count_text!r}", line=lineno)
+    cat_count = int(cat_count_text)
+    if cat_count > len(tokens):
         raise FormatError(f"category token count {cat_count} out of range", line=lineno)
     if tokenize("", " ".join(tokens)) != tokens:
         raise FormatError(f"tokens are not in normalized form: {tokens}", line=lineno)
@@ -126,12 +137,9 @@ def load_index(source: PathOrFile) -> InvertedIndex:
         month_key = parse_month(header[1])
     except ValueError as exc:
         raise FormatError(str(exc), line=1) from None
-    try:
-        doc_count = int(header[2])
-    except ValueError:
-        raise FormatError(f"invalid document count {header[2]!r}", line=1) from None
-    if doc_count < 0:
-        raise FormatError(f"invalid document count {doc_count}", line=1)
+    if not (header[2].isascii() and header[2].isdigit()):
+        raise FormatError(f"invalid document count {header[2]!r}", line=1)
+    doc_count = int(header[2])
 
     documents: dict[str, ItemDocument] = {}
     for lineno, line in enumerate(lines[1:], start=2):

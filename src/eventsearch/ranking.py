@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .errors import UnknownDocument
 from .expansion import ExpandedQuery
 from .index import InvertedIndex
@@ -44,10 +46,9 @@ class RankedResult:
     matched_terms: tuple[tuple[str, float], ...]
 
 
-def _contribution(
-    scorer: ScorerKind, tf: int, idf: float, delta: float, doc_len: int, avgdl: float
-) -> float:
-    """One query term's share of a document's score: its weight times delta."""
+def _contribution(scorer: ScorerKind, tf, idf, delta, doc_len, avgdl: float):
+    """One query term's share of a document's score: its weight times delta. tf, idf, delta
+    and doc_len may be arrays, one element per posting, each taking a scalar's operations."""
     if isinstance(scorer, Bm25):
         norm = 1.0 - scorer.b + scorer.b * (doc_len / avgdl)
         return idf * tf * (scorer.k1 + 1.0) / (tf + scorer.k1 * norm) * delta
@@ -65,7 +66,7 @@ def score_document(
     if doc_id not in index.doc_store:
         raise UnknownDocument(doc_id)
     tokens = index.doc_store[doc_id].tokens
-    doc_len, avgdl = index.doc_len[doc_id], index.avg_doc_len
+    doc_len, avgdl = len(tokens), index.avg_doc_len
     score = 0.0
     matched = []
     for term in sorted(query.all_terms()):
@@ -88,30 +89,34 @@ def retrieve(
     """Documents matching any query term, kept when score > threshold,
     sorted by score descending with doc_id breaking ties.
 
-    Scores accumulate term at a time over the postings, terms in the same
-    order as score_document, in O(sum of the query terms' df)."""
+    Terms, in score_document's order, add their contributions into one dense accumulator
+    in O(N + sum of their df); only the documents returned get matched_terms."""
     if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    doc_len, avgdl = index.doc_len, index.avg_doc_len
-    scores: dict[str, float] = {}
-    matched: dict[str, list[tuple[str, float]]] = {}
-    for term in sorted(query.all_terms()):
-        idf, delta = index.idf(term), query.delta(term)
-        for doc_id, tf in index.postings.get(term, ()):
-            contribution = _contribution(scorer, tf, idf, delta, doc_len[doc_id], avgdl)
-            scores[doc_id] = scores.get(doc_id, 0.0) + contribution
-            matched.setdefault(doc_id, []).append((term, contribution))
-    results = [
-        RankedResult(doc_id, score, tuple(matched[doc_id]))
-        for doc_id, score in scores.items()
-        if score > threshold
-    ]
-    results.sort(key=lambda r: (-r.score, r.doc_id))
-    if limit is not None:
-        results = results[:limit]
-    return results
+    terms = sorted(query.all_terms() & index.term_rows.keys())
+    spans = [index.offsets[i : i + 2].tolist() for i in map(index.term_rows.get, terms)]
+    counts = [hi - lo for lo, hi in spans]
+    rows = np.concatenate([index.doc_rows[lo:hi] for lo, hi in spans] or [index.doc_rows[:0]])
+    tfs = np.concatenate([index.tfs[lo:hi] for lo, hi in spans] or [index.tfs[:0]])
+    idf = np.repeat([index.idf(term) for term in terms], counts)
+    delta = np.repeat([query.delta(term) for term in terms], counts)
+    contribution = _contribution(scorer, tfs, idf, delta, index.doc_len[rows], index.avg_doc_len)
+    scores = np.zeros(index.doc_count)
+    np.add.at(scores, rows, contribution)  # in posting order: term after term for each document
+    hits = (scores > threshold).nonzero()[0]
+    hits = hits[np.lexsort((index.doc_rank[hits], -scores[hits]))][:limit]
+    position = np.full(index.doc_count, -1)
+    position[hits] = np.arange(len(hits))
+    at = position[rows]
+    kept = (at >= 0).nonzero()[0]
+    term_of = np.repeat(np.arange(len(terms)), counts)[kept]
+    matched = [[] for _ in hits]
+    for i, t, value in zip(at[kept].tolist(), term_of.tolist(), contribution[kept].tolist()):
+        matched[i].append((terms[t], value))
+    ranked = zip(hits.tolist(), scores[hits].tolist(), matched)
+    return [RankedResult(index.doc_ids[row], score, tuple(pairs)) for row, score, pairs in ranked]
 
 
 def format_results(results: list[RankedResult]) -> str:

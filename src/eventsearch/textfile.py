@@ -7,6 +7,7 @@ readers see the old file or the complete new one, never a partial write.
 from __future__ import annotations
 
 import os
+import re
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator, Union
@@ -14,6 +15,8 @@ from typing import IO, Iterator, Union
 from .errors import FormatError
 
 PathOrFile = Union[str, Path, IO[str]]
+# a doc_id or term travels as one space-separated field: non-empty, no whitespace
+FIELD = re.compile(r"\S+")
 
 
 def read_lines(source: PathOrFile, kind: str) -> list[str]:

@@ -1,7 +1,9 @@
 """What the benchmark relies on: the library functions its traced run wraps by
-name, and the planted-pair check it makes on season-build's trained vectors."""
+name, the planted-pair check it makes on season-build's trained vectors, and
+its brute-force output checks on a served month's index and rankings."""
 
 import importlib
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -9,11 +11,15 @@ from pathlib import Path
 import pytest
 
 from eventsearch.corpus import format_month, ingest, segment_by_month
-from eventsearch.embedding import TrainConfig, sim, train
+from eventsearch.embedding import EmbeddingModel, TrainConfig, sim, train
+from eventsearch.expansion import expand_query
+from eventsearch.index import build_index, load_index, save_index
+from eventsearch.ranking import Bm25, TfIdf, retrieve
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # run_path compiles the file without writing a bytecode cache next to it
 TRACING = runpy.run_path(str(PERFBENCH / "tracing.py"))
+BRUTE = runpy.run_path(str(PERFBENCH / "brute.py"))
 
 
 @pytest.mark.parametrize("layer, func", TRACING["TARGETS"])
@@ -43,3 +49,28 @@ def test_planted_pairs_train_closer_than_control(gen, seed):
         a, b, control = season.planted[format_month(month.month_key)]
         model = train(month, cfg)
         assert sim(model, a, b) > sim(model, a, control)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_served_month_passes_brute_force_checks(gen, seed, tmp_path):
+    """search-warm's output gate: the loaded index's document frequencies, as
+    season-build writes them to JSON, and every retrieve op's ranking."""
+    served = gen["served"](seed, gen["SIZES"]["tiny"]["search"], "search")
+    (month,) = segment_by_month(ingest(doc.tsv() for doc in served.docs).documents)
+    save_index(build_index(month), tmp_path / "month.idx")
+    index = load_index(tmp_path / "month.idx")
+    corpus = BRUTE["Corpus"](served.docs)
+    assert json.loads(json.dumps(index.doc_freq)) == index.doc_freq == corpus.df
+    model = EmbeddingModel(served.terms, served.vectors)
+    vectors = BRUTE["Vectors"](served.terms, served.vectors)
+    ops = [op for op in served.ops if op["op"] == "retrieve"]
+    assert ops
+    for i, op in enumerate(ops):
+        spec = op["scorer"]
+        scorer = Bm25(spec["k1"], spec["b"]) if spec["kind"] == "bm25" else TfIdf()
+        query = expand_query([op["seed"]], model, k=op["k"], min_sim=op["min_sim"])
+        results = retrieve(index, query, scorer, threshold=op["threshold"], limit=op["limit"])
+        weights = vectors.expand(op["seed"].split(), op["k"], op["min_sim"])[1]
+        kept = corpus.kept(weights, spec, op["threshold"])
+        rows = [(r.doc_id, r.score, r.matched_terms) for r in results]
+        assert BRUTE["check_ranking"](rows, kept, op["limit"], BRUTE["SCORE_TOL"], f"op {i}") == []

@@ -309,6 +309,37 @@ class TestVectorFileFormat:
             load_vectors(io.StringIO(text))
         assert excinfo.value.line == line
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("1 2\na 1_0 \u0661\n", 2),  # float() reads these as 10.0 and 1.0
+            ("1 2\na 1.0 2.0\r\n", 2),
+            ("1 2\na 1.0 \t2.0\n", 2),
+            ("1 2\na 1.0 2.0\u3000\n", 2),
+            ("+1 2\na 1.0 2.0\n", 1),
+            ("1 2_0\na 1.0 2.0\n", 1),
+        ],
+    )
+    def test_number_forms_the_writer_never_writes(self, text, line):
+        with pytest.raises(FormatError) as excinfo:
+            load_vectors(io.StringIO(text))
+        assert excinfo.value.line == line
+
+    def test_non_ascii_and_underscored_terms_load(self):
+        model = load_vectors(io.StringIO("2 1\n\u00e9_\u0661 1.5\nb_ -2.0\n"))
+        assert model.terms == ["\u00e9_\u0661", "b_"]
+        assert model.vector("\u00e9_\u0661").tolist() == [1.5]
+
+    @pytest.mark.parametrize("term", ["a b", "", "a\tb", "a\nb", "a\u00a0b"])
+    def test_unwritable_term_refused_before_writing(self, term, tmp_path):
+        path = tmp_path / "m.vec"
+        save_vectors(model_from(FIXTURE), path)
+        before = path.read_bytes()
+        with pytest.raises(FormatError):
+            save_vectors(EmbeddingModel(["ok", term], np.ones((2, 2))), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.vec"]
+
     def test_cut_inside_last_line(self):
         # the complete row is "b 1.0 2.25\n"; without its newline it is known to be cut
         with pytest.raises(FormatError) as excinfo:

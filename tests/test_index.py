@@ -36,11 +36,12 @@ class TestBuildIndex:
         index = build_index(MonthlyCorpus((2018, 2), ()))
         assert index.doc_count == 0
         assert index.postings == {}
-        assert index.doc_len == {}
+        assert index.doc_len.tolist() == []
         assert index.avg_doc_len == 0.0
 
     def test_document_lengths(self, two_doc_index):
-        assert two_doc_index.doc_len == {"d0000": 3, "d0001": 2}
+        assert two_doc_index.doc_ids == ["d0000", "d0001"]
+        assert two_doc_index.doc_len.tolist() == [3, 2]
         assert two_doc_index.avg_doc_len == 2.5
 
     def test_single_token_doc(self):
@@ -157,6 +158,7 @@ class TestPersistence:
             "INDEXv2 2018-2 0\n",
             "INDEXv2 2018-02 two\n",
             "INDEXv2 2018-02 -1\n",
+            "INDEXv2 2018-02 +1\nD d1 2018-02-01 0 a\n",
             "INDEXv2 \u0662\u0660\u0661\u0668-\u0660\u0662 1\nD d1 2018-02-01 0 a\n",
         ):
             with pytest.raises(FormatError) as excinfo:
@@ -192,6 +194,8 @@ class TestPersistence:
             "INDEXv2 2018-02 2\nD d1 2018-02-01 0 a\nD d1 2018-02-02 0 b\n",
             "INDEXv2 2018-02 1\nD x 20180201 0 a\n",
             "INDEXv2 2018-02 1\nD x 2018-W05-4 0 a\n",
+            "INDEXv2 2018-02 1\nD d1 2018-02-01 +1 a b\n",
+            "INDEXv2 2018-02 1\nD d1 2018-02-01 \u0661 a b\n",
         ):
             with pytest.raises(FormatError) as excinfo:
                 load_index(io.StringIO(text))
@@ -228,7 +232,7 @@ class TestPersistence:
         before = path.read_bytes()
         good = two_doc_index.doc_store["d0000"]
         broken = ItemDocument("d0001", None, "", "b", ("b",))  # no date: fails mid-write
-        index = InvertedIndex((2018, 2), {}, {"d0000": good, "d0001": broken})
+        index = InvertedIndex((2018, 2), {"d0000": good, "d0001": broken})
         with pytest.raises(AttributeError):
             save_index(index, path)
         assert path.read_bytes() == before
@@ -264,6 +268,43 @@ def test_round_trip_equals_build_and_every_prefix_fails(specs):
     for cut in range(len(text)):
         with pytest.raises(FormatError):
             load_index(io.StringIO(text[:cut]))
+
+
+def _reference_build(documents):
+    """(postings, doc_freq, doc_len) by the nested loops of a per-term-sort builder."""
+    postings = {}
+    for doc in documents:
+        counts = {}
+        for token in doc.tokens:
+            counts[token] = counts.get(token, 0) + 1
+        for term, count in counts.items():
+            postings.setdefault(term, []).append((doc.doc_id, count))
+    for plist in postings.values():
+        plist.sort(key=lambda entry: entry[0])
+    doc_freq = {term: len(plist) for term, plist in postings.items()}
+    return postings, doc_freq, {doc.doc_id: len(doc.tokens) for doc in documents}
+
+
+# numpy orders "a\x00" equal to "a"; Python puts it after
+_DOC_IDS = st.sampled_from(["a", "a\x00", "a\x00\x00", "\x00", "", "b", "Z", "\u00e9", "\u4e00"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_DOC_IDS, _TOKENS), max_size=8, unique_by=lambda doc: doc[0]))
+def test_build_equals_nested_loop_reference(specs):
+    docs = tuple(
+        ItemDocument.create(doc_id, date(2018, 2, 1), "", " ".join(tokens))
+        for doc_id, tokens in specs
+    )
+    index = build_index(MonthlyCorpus((2018, 2), docs))
+    postings, doc_freq, doc_len = _reference_build(docs)
+    assert index.postings == postings
+    assert index.doc_freq == doc_freq
+    assert all(type(df) is int for df in index.doc_freq.values())
+    assert all(type(tf) is int for plist in index.postings.values() for _, tf in plist)
+    assert dict(zip(index.doc_ids, index.doc_len.tolist())) == doc_len
+    assert index.terms == sorted(postings)
+    assert index.avg_doc_len == (sum(doc_len.values()) / len(docs) if docs else 0.0)
 
 
 class TestSelfConsistency:

@@ -1,13 +1,14 @@
 """Scoring and retrieval against the brute-force oracle and hand values."""
 
 import math
+from datetime import date
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eventsearch.corpus import MonthlyCorpus
+from eventsearch.corpus import ItemDocument, MonthlyCorpus
 from eventsearch.errors import UnknownDocument
 from eventsearch.expansion import ExpandedQuery
 from eventsearch.index import build_index
@@ -136,6 +137,16 @@ class TestRetrieve:
         index = build_index(corpus_from_token_lists([["x", "y"], ["x", "y"], ["x", "x"]]))
         results = retrieve(index, ExpandedQuery(("x",), {}))
         assert [r.doc_id for r in results] == ["d0002", "d0000", "d0001"]
+
+    def test_ties_follow_python_string_order(self):
+        # numpy compares "a\x00" equal to "a"; Python, and retrieve, put it after
+        ids = ["\u00e9", "a\x00", "b", "a", "\u4e00"]
+        docs = tuple(ItemDocument.create(i, date(2018, 2, 1), "", "x y") for i in ids)
+        index = build_index(MonthlyCorpus((2018, 2), docs))
+        for scorer in (TfIdf(), Bm25()):
+            results = retrieve(index, ExpandedQuery(("x",), {"y": 0.7}), scorer)
+            assert [r.doc_id for r in results] == sorted(ids)
+            assert retrieve(index, ExpandedQuery(("x",), {"y": 0.7}), scorer, limit=2) == results[:2]
 
     def test_negative_threshold_rejected(self, small_index):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ import logging
 from .corpus import (
     ItemDocument,
     MonthlyCorpus,
-    Vocabulary,
     ingest,
     segment_by_month,
     tokenize,
@@ -45,7 +44,6 @@ __all__ = [
     "StopwordList",
     "TfIdf",
     "TrainConfig",
-    "Vocabulary",
     "build_index",
     "expand_query",
     "ingest",

@@ -11,7 +11,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import DuplicateDocumentId
 
@@ -96,44 +96,6 @@ class MonthlyCorpus:
 
     def __len__(self) -> int:
         return len(self.documents)
-
-
-class Vocabulary:
-    """Term inventory with dense ids and corpus frequencies.
-
-    Ids run 0..len-1 in order of descending count, ties broken by term, so
-    the numbering is deterministic for a given corpus.
-    """
-
-    def __init__(self, counts: Mapping[str, int]):
-        ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-        self._terms = [term for term, _ in ordered]
-        self._ids = {term: i for i, term in enumerate(self._terms)}
-        self._counts = dict(ordered)
-
-    @classmethod
-    def from_documents(cls, documents: Iterable[ItemDocument], min_count: int = 1) -> "Vocabulary":
-        counts: Counter[str] = Counter()
-        for doc in documents:
-            counts.update(doc.tokens)
-        return cls({t: c for t, c in counts.items() if c >= min_count})
-
-    @property
-    def terms(self) -> list[str]:
-        """Terms in id order."""
-        return list(self._terms)
-
-    def id_of(self, term: str) -> int:
-        return self._ids[term]
-
-    def count_of(self, term: str) -> int:
-        return self._counts[term]
-
-    def __contains__(self, term: str) -> bool:
-        return term in self._ids
-
-    def __len__(self) -> int:
-        return len(self._terms)
 
 
 @dataclass

@@ -11,12 +11,13 @@ queries.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .corpus import MonthKey, MonthlyCorpus, Vocabulary
+from .corpus import MonthKey, MonthlyCorpus
 from .errors import (
     DimensionMismatch,
     EmptyVocabulary,
@@ -54,6 +55,8 @@ class TrainConfig:
             raise ValueError(
                 f"need 0 < lr_final <= lr_initial, got {self.lr_final} / {self.lr_initial}"
             )
+        if not math.isfinite(self.lr_initial):
+            raise ValueError(f"lr_initial must be finite, got {self.lr_initial}")
 
 
 class EmbeddingModel:
@@ -67,6 +70,8 @@ class EmbeddingModel:
             raise DimensionMismatch(
                 f"matrix has shape {self._matrix.shape}, expected ({len(self._terms)}, dim)"
             )
+        if not np.isfinite(self._matrix).all():
+            raise ValueError("matrix holds a non-finite component")
         self.dim = self._matrix.shape[1]
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
@@ -182,17 +187,20 @@ def train(corpus: MonthlyCorpus, cfg: TrainConfig | None = None) -> EmbeddingMod
     NoTrainingPairs if the window yields no (center, context) pair.
     """
     cfg = cfg or TrainConfig()
-    vocab = Vocabulary.from_documents(corpus.documents, min_count=cfg.min_count)
-    if len(vocab) == 0:
+    counts = Counter(t for doc in corpus.documents for t in doc.tokens)
+    # ids run in order of descending count, ties broken by term
+    terms = sorted((t for t in counts if counts[t] >= cfg.min_count), key=lambda t: (-counts[t], t))
+    if not terms:
         raise EmptyVocabulary(f"no term appears >= {cfg.min_count} times")
-    sentences = [[vocab.id_of(t) for t in doc.tokens if t in vocab] for doc in corpus.documents]
+    ids = {term: i for i, term in enumerate(terms)}
+    sentences = [[ids[t] for t in doc.tokens if t in ids] for doc in corpus.documents]
     centers, contexts = _pairs(sentences, cfg.window)
     if len(centers) == 0:
         raise NoTrainingPairs("window over the corpus yields no (center, context) pairs")
 
-    noise_cdf = np.cumsum(negative_sampling_distribution([vocab.count_of(t) for t in vocab.terms]))
+    noise_cdf = np.cumsum(negative_sampling_distribution([counts[t] for t in terms]))
     rng = np.random.default_rng(cfg.rng_seed)
-    syn0 = (rng.random((len(vocab), cfg.dim)) - 0.5) / cfg.dim
+    syn0 = (rng.random((len(terms), cfg.dim)) - 0.5) / cfg.dim
     syn1 = np.zeros_like(syn0)
 
     n_pairs, total = len(centers), len(centers) * cfg.epochs
@@ -203,7 +211,7 @@ def train(corpus: MonthlyCorpus, cfg: TrainConfig | None = None) -> EmbeddingMod
             steps = epoch_start + lo + np.arange(len(center))
             lr = cfg.lr_initial + (cfg.lr_final - cfg.lr_initial) * (steps / total)
             draws = np.searchsorted(noise_cdf, rng.random((len(center), cfg.negatives)))
-            targets = np.column_stack((context, np.minimum(draws, len(vocab) - 1)))
+            targets = np.column_stack((context, np.minimum(draws, len(terms) - 1)))
             center_vecs, out_vecs = syn0[center], syn1[targets]
             dots = np.clip(np.einsum("bd,btd->bt", center_vecs, out_vecs), -60.0, 60.0)
             g = lr[:, None] * (labels - 1.0 / (1.0 + np.exp(-dots)))
@@ -212,7 +220,7 @@ def train(corpus: MonthlyCorpus, cfg: TrainConfig | None = None) -> EmbeddingMod
             out_grads = np.einsum("bt,bd->btd", g, center_vecs).reshape(-1, cfg.dim)
             _scatter_add(syn1, targets.ravel(), out_grads)
 
-    return EmbeddingModel(vocab.terms, syn0, corpus.month_key)
+    return EmbeddingModel(terms, syn0, corpus.month_key)
 
 
 def save_vectors(model: EmbeddingModel, dest: PathOrFile) -> None:
@@ -235,10 +243,10 @@ def save_vectors(model: EmbeddingModel, dest: PathOrFile) -> None:
 def load_vectors(source: PathOrFile, month_key: MonthKey | None = None) -> EmbeddingModel:
     """Read a word2vec text file back into an EmbeddingModel.
 
-    Raises FormatError (with the offending line number) on malformed
-    content, including nan and inf components and number forms that float()
-    reads but save_vectors never writes ('1_0', '\u0661', whitespace but ' '),
-    and DimensionMismatch when a row's component count differs from the header.
+    Raises FormatError (with the offending line number) on malformed content, including
+    nan and inf components, and words and numbers in forms save_vectors never writes (a word
+    holding whitespace, '1_0', '\u0661', whitespace but ' '), and DimensionMismatch when a
+    row's component count differs from the header.
     """
     lines = read_lines(source, "vector")
     header = lines[0].split(" ")
@@ -259,8 +267,8 @@ def load_vectors(source: PathOrFile, month_key: MonthKey | None = None) -> Embed
     for lineno, row in enumerate(lines[1:], start=2):
         fields = row.split(" ")
         word = fields[0]
-        if not word:
-            raise FormatError("row starts with an empty word", line=lineno)
+        if not FIELD.fullmatch(word):
+            raise FormatError(f"word {word!r} is empty or holds whitespace", line=lineno)
         if word in words:
             raise FormatError(f"duplicate word {word!r}", line=lineno)
         if len(fields) - 1 != dim:

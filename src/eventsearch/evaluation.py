@@ -14,7 +14,7 @@ from .embedding import EmbeddingModel
 from .errors import UndefinedBaseline
 from .expansion import DEFAULT_K, DEFAULT_MIN_SIM, StopwordList, expand_query
 from .index import InvertedIndex
-from .ranking import Bm25, ScorerKind, TfIdf, retrieve
+from .ranking import Bm25, ScorerKind, TfIdf, count_hits
 
 
 @dataclass(frozen=True)
@@ -39,21 +39,20 @@ def recall_increase(
     threshold: float = 0.0,
     scorer: ScorerKind = TfIdf(),
 ) -> RecallReport:
-    """Retrieve twice, seed-only then expanded, and report the growth.
+    """Count the seed-only query's hits and the expanded query's, and report the growth.
 
     Raises UndefinedBaseline when the seed-only query retrieves nothing;
     a percentage increase over zero has no meaning.
     """
     query = expand_query(seed, model, stopwords, k=k, min_sim=min_sim)
-    seed_hits = len(retrieve(index, query.without_expansion(), scorer, threshold))
-    expanded_hits = len(retrieve(index, query, scorer, threshold))
+    seed_hits = count_hits(index, query.without_expansion(), scorer, threshold)
+    expanded_hits = count_hits(index, query, scorer, threshold)
     if seed_hits == 0:
         raise UndefinedBaseline("seed-only query retrieved no documents")
     increase_pct = 100.0 * (expanded_hits - seed_hits) / seed_hits
-    ranked = sorted(query.expansion_terms.items(), key=lambda item: (-item[1], item[0]))
     return RecallReport(
         seed_terms=query.seed_terms,
-        expansion_terms=tuple(ranked),
+        expansion_terms=tuple(query.expansion_terms.items()),
         seed_hits=seed_hits,
         expanded_hits=expanded_hits,
         increase_pct=increase_pct,

@@ -9,7 +9,7 @@ per-term delta factor of the ranking formula.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from pathlib import Path
@@ -72,9 +72,6 @@ class ExpandedQuery:
 
     seed_terms: tuple[str, ...]
     expansion_terms: dict[str, float]
-    stopword_seeds: frozenset[str] = frozenset()
-    k: int = DEFAULT_K
-    min_sim: float = DEFAULT_MIN_SIM
 
     def all_terms(self) -> set[str]:
         return set(self.seed_terms) | set(self.expansion_terms)
@@ -89,7 +86,7 @@ class ExpandedQuery:
         raise NotInQuery(term)
 
     def without_expansion(self) -> "ExpandedQuery":
-        return ExpandedQuery(self.seed_terms, {}, self.stopword_seeds, self.k, self.min_sim)
+        return ExpandedQuery(self.seed_terms, {})
 
 
 def normalize_seed(seed: Iterable[str]) -> list[str]:
@@ -119,15 +116,14 @@ def seed_only_query(
 ) -> ExpandedQuery:
     """Normalized query with an empty expansion map (no model involved).
 
-    k and min_sim are only recorded, but must be valid for expand_query.
+    stopwords, k and min_sim take no part in it, but k and min_sim must be valid
+    for expand_query.
     """
     _check_expansion_params(k, min_sim)
-    stopwords = stopwords if stopwords is not None else StopwordList.built_in()
     terms = normalize_seed(seed)
     if not terms:
         raise EmptySeed("no seed terms left after normalization")
-    stops = frozenset(t for t in terms if t in stopwords)
-    return ExpandedQuery(tuple(terms), {}, stops, k, min_sim)
+    return ExpandedQuery(tuple(terms), {})
 
 
 def expand_query(
@@ -139,10 +135,10 @@ def expand_query(
 ) -> ExpandedQuery:
     """Expand seed keywords with embedding neighbors.
 
-    Every non-stop seed term found in the model vocabulary proposes up to
-    k candidates with similarity strictly above min_sim; candidates that
-    are stop words or seed terms are dropped; each surviving candidate j
-    is weighted by max(sim(j, m)) over the non-stop seed terms m.
+    Every non-stop seed term found in the model vocabulary proposes up to k candidates
+    with similarity strictly above min_sim; candidates that are stop words or seed terms
+    are dropped; each surviving candidate j is weighted by max(sim(j, m)) over the non-stop
+    seed terms m. expansion_terms holds them by weight descending, ties by term.
 
     Raises EmptySeed for an empty seed and AllStopwords when every seed
     term is a stop word. Seed terms missing from the vocabulary contribute
@@ -150,7 +146,7 @@ def expand_query(
     """
     query = seed_only_query(seed, stopwords, k, min_sim)
     stopwords = stopwords if stopwords is not None else StopwordList.built_in()
-    content_terms = [t for t in query.seed_terms if t not in query.stopword_seeds]
+    content_terms = [t for t in query.seed_terms if t not in stopwords]
     if not content_terms:
         raise AllStopwords(f"every seed term is a stop word: {list(query.seed_terms)}")
 
@@ -167,7 +163,7 @@ def expand_query(
 
     weighted = {j: max(sim(model, j, m) for m in in_vocab) for j in candidates}
     ordered = dict(sorted(weighted.items(), key=lambda item: (-item[1], item[0])))
-    return replace(query, expansion_terms=ordered)
+    return ExpandedQuery(query.seed_terms, ordered)
 
 
 def format_expansion(query: ExpandedQuery) -> str:

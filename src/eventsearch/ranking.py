@@ -7,6 +7,7 @@ factor: 1 for seed terms, the expansion similarity weight otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -32,6 +33,8 @@ class Bm25:
     def __post_init__(self):
         if not self.k1 > 0:
             raise ValueError(f"k1 must be > 0, got {self.k1}")
+        if not math.isfinite(self.k1):
+            raise ValueError(f"k1 must be finite, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
 
@@ -79,22 +82,14 @@ def score_document(
     return RankedResult(doc_id, score, tuple(matched))
 
 
-def retrieve(
-    index: InvertedIndex,
-    query: ExpandedQuery,
-    scorer: ScorerKind = TfIdf(),
-    threshold: float = 0.0,
-    limit: int | None = None,
-) -> list[RankedResult]:
-    """Documents matching any query term, kept when score > threshold,
-    sorted by score descending with doc_id breaking ties.
+def _accumulate(index: InvertedIndex, query: ExpandedQuery, scorer: ScorerKind, threshold: float):
+    """Every document's score under query, with the postings that made it.
 
     Terms, in score_document's order, add their contributions into one dense accumulator
-    in O(N + sum of their df); only the documents returned get matched_terms."""
+    in O(N + sum of their df). Returns the terms, each term's posting count, and per posting
+    its document row and contribution, then the scores indexed by document row."""
     if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
     terms = sorted(query.all_terms() & index.term_rows.keys())
     spans = [index.offsets[i : i + 2].tolist() for i in map(index.term_rows.get, terms)]
     counts = [hi - lo for lo, hi in spans]
@@ -105,6 +100,28 @@ def retrieve(
     contribution = _contribution(scorer, tfs, idf, delta, index.doc_len[rows], index.avg_doc_len)
     scores = np.zeros(index.doc_count)
     np.add.at(scores, rows, contribution)  # in posting order: term after term for each document
+    return terms, counts, rows, contribution, scores
+
+
+def count_hits(index: InvertedIndex, query: ExpandedQuery, scorer: ScorerKind,
+               threshold: float) -> int:
+    """len(retrieve(index, query, scorer, threshold)), without building the results."""
+    return int(np.count_nonzero(_accumulate(index, query, scorer, threshold)[-1] > threshold))
+
+
+def retrieve(
+    index: InvertedIndex,
+    query: ExpandedQuery,
+    scorer: ScorerKind = TfIdf(),
+    threshold: float = 0.0,
+    limit: int | None = None,
+) -> list[RankedResult]:
+    """Documents matching any query term, kept when score > threshold,
+    sorted by score descending with doc_id breaking ties; only the documents
+    returned get matched_terms."""
+    terms, counts, rows, contribution, scores = _accumulate(index, query, scorer, threshold)
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     hits = (scores > threshold).nonzero()[0]
     hits = hits[np.lexsort((index.doc_rank[hits], -scores[hits]))][:limit]
     position = np.full(index.doc_count, -1)

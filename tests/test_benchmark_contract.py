@@ -12,6 +12,7 @@ import pytest
 
 from eventsearch.corpus import format_month, ingest, segment_by_month
 from eventsearch.embedding import EmbeddingModel, TrainConfig, sim, train
+from eventsearch.evaluation import recall_increase
 from eventsearch.expansion import expand_query
 from eventsearch.index import build_index, load_index, save_index
 from eventsearch.ranking import Bm25, TfIdf, retrieve
@@ -54,7 +55,8 @@ def test_planted_pairs_train_closer_than_control(gen, seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_served_month_passes_brute_force_checks(gen, seed, tmp_path):
     """search-warm's output gate: the loaded index's document frequencies, as
-    season-build writes them to JSON, and every retrieve op's ranking."""
+    season-build writes them to JSON, every retrieve op's ranking and every
+    eval op's hit counts."""
     served = gen["served"](seed, gen["SIZES"]["tiny"]["search"], "search")
     (month,) = segment_by_month(ingest(doc.tsv() for doc in served.docs).documents)
     save_index(build_index(month), tmp_path / "month.idx")
@@ -63,14 +65,22 @@ def test_served_month_passes_brute_force_checks(gen, seed, tmp_path):
     assert json.loads(json.dumps(index.doc_freq)) == index.doc_freq == corpus.df
     model = EmbeddingModel(served.terms, served.vectors)
     vectors = BRUTE["Vectors"](served.terms, served.vectors)
-    ops = [op for op in served.ops if op["op"] == "retrieve"]
-    assert ops
-    for i, op in enumerate(ops):
+    assert {op["op"] for op in served.ops} == {"retrieve", "eval"}
+    for i, op in enumerate(served.ops):
         spec = op["scorer"]
         scorer = Bm25(spec["k1"], spec["b"]) if spec["kind"] == "bm25" else TfIdf()
+        weights = vectors.expand(op["seed"].split(), op["k"], op["min_sim"])[1]
+        if op["op"] == "eval":
+            report = recall_increase(index, [op["seed"]], model, k=op["k"],
+                                     min_sim=op["min_sim"], threshold=op["threshold"],
+                                     scorer=scorer)
+            seed_hits, hits, pct = corpus.recall(op["seed"].split(), weights, spec,
+                                                 op["threshold"])
+            assert (report.seed_hits, report.expanded_hits) == (seed_hits, hits), f"op {i}"
+            assert abs(report.increase_pct - pct) <= BRUTE["SCORE_TOL"], f"op {i}"
+            continue
         query = expand_query([op["seed"]], model, k=op["k"], min_sim=op["min_sim"])
         results = retrieve(index, query, scorer, threshold=op["threshold"], limit=op["limit"])
-        weights = vectors.expand(op["seed"].split(), op["k"], op["min_sim"])[1]
         kept = corpus.kept(weights, spec, op["threshold"])
         rows = [(r.doc_id, r.score, r.matched_terms) for r in results]
         assert BRUTE["check_ranking"](rows, kept, op["limit"], BRUTE["SCORE_TOL"], f"op {i}") == []

@@ -20,6 +20,8 @@ from eventsearch.expansion import expand_query, format_expansion
 from eventsearch.index import load_index
 from eventsearch.ranking import TfIdf, format_results, retrieve
 
+from util import cooccurrence_corpus
+
 CORPUS = (
     "# sample corpus\n"
     "v1\t2018-02-03\tJewelry\tValentine Heart Necklace\n"
@@ -145,6 +147,19 @@ class TestTrainCommand:
         )
         assert code == 2
         assert configs == [expected]
+
+    def test_diverging_run_writes_nothing(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.tsv"
+        with open(corpus, "w", encoding="utf-8") as handle:
+            for doc in cooccurrence_corpus(n_docs=60).documents:
+                handle.write(f"{doc.doc_id}\t{doc.sold_date}\t{doc.category}\t{doc.title}\n")
+        code, out, err = run(
+            capsys, "train", "--input", str(corpus), "--output", str(tmp_path / "x.vec"),
+            "--lr", "1e6",
+        )
+        assert (code, out) == (1, "")
+        assert "non-finite" in err
+        assert list(tmp_path.iterdir()) == [corpus]
 
     def test_multi_month_without_selector_fails(self, workspace, capsys):
         code, _, err = run(
@@ -320,6 +335,9 @@ class TestExitCodes:
               "--bm25-b", "2"], "b must be"),
             (["train", "--input", "{tsv}", "--output", "{out}", "--dim", "0"], "dim"),
             (["train", "--input", "{tsv}", "--output", "{out}", "--lr", "-1"], "lr_"),
+            (["train", "--input", "{tsv}", "--output", "{out}", "--lr", "inf"], "lr_initial"),
+            (["search", "--index", "{idx}", "--seed", "valentine", "--scorer", "bm25",
+              "--bm25-k1", "inf"], "k1 must be finite"),
         ],
     )
     def test_library_rejects_flag_value(self, workspace, capsys, argv, message):

@@ -8,7 +8,6 @@ import pytest
 
 from eventsearch.corpus import (
     ItemDocument,
-    Vocabulary,
     format_month,
     ingest,
     parse_month,
@@ -138,25 +137,6 @@ class TestSegmentByMonth:
         docs = [self._doc("x", "2018-05-02"), self._doc("x", "2018-05-03")]
         with pytest.raises(DuplicateDocumentId, match=r"2018-05: \['x'\]"):
             segment_by_month(docs)
-
-
-class TestVocabulary:
-    def test_dense_ids_and_counts(self):
-        docs = [
-            ItemDocument.create("d1", date(2018, 2, 1), "", "a b a"),
-            ItemDocument.create("d2", date(2018, 2, 2), "", "b c"),
-        ]
-        vocab = Vocabulary.from_documents(docs)
-        assert len(vocab) == 3
-        assert sorted(vocab.id_of(t) for t in ("a", "b", "c")) == [0, 1, 2]
-        assert vocab.count_of("a") == 2 and vocab.count_of("b") == 2 and vocab.count_of("c") == 1
-        # frequency-first ordering, ties by term
-        assert vocab.terms == ["a", "b", "c"]
-
-    def test_min_count_filter(self):
-        docs = [ItemDocument.create("d1", date(2018, 2, 1), "", "a a b")]
-        vocab = Vocabulary.from_documents(docs, min_count=2)
-        assert "a" in vocab and "b" not in vocab
 
 
 class TestMonthHelpers:

@@ -69,6 +69,11 @@ class TestEmbeddingModel:
         with pytest.raises(ValueError, match="duplicate term 'a'"):
             EmbeddingModel(["a", "b", "a"], np.ones((3, 2)))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_component(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            EmbeddingModel(["a", "b"], [[1.0, 2.0], [3.0, value]])
+
     def test_empty_model_keeps_its_dim(self):
         model = EmbeddingModel([], np.empty((0, 7)))
         assert (model.dim, model.terms, len(model)) == (7, [], 0)
@@ -325,6 +330,14 @@ class TestVectorFileFormat:
             load_vectors(io.StringIO(text))
         assert excinfo.value.line == line
 
+    @pytest.mark.parametrize("word", ["a\tb", "a\rb", "a\x1cb", "a\xa0b", "a\u2028b"])
+    def test_words_the_writer_refuses(self, word):
+        with pytest.raises(FormatError):
+            saved(EmbeddingModel([word], [[1.0, 2.0]]))
+        with pytest.raises(FormatError) as excinfo:
+            load_vectors(io.StringIO(f"2 2\nb 3.0 4.0\n{word} 1.0 2.0\n"))
+        assert excinfo.value.line == 3
+
     def test_non_ascii_and_underscored_terms_load(self):
         model = load_vectors(io.StringIO("2 1\n\u00e9_\u0661 1.5\nb_ -2.0\n"))
         assert model.terms == ["\u00e9_\u0661", "b_"]
@@ -470,6 +483,12 @@ class TestTrain:
         model = train(corpus, TrainConfig(dim=4, min_count=2))
         assert sorted(model.terms) == ["x", "y"]
 
+    def test_terms_by_descending_count_then_term(self):
+        # counts: c 4, a 2, b 2 (tied, so by term), d 1, e 1
+        corpus = corpus_from_token_lists([["b", "a", "c"], ["c", "b", "a"], ["c", "d"], ["e", "c"]])
+        assert train(corpus, TrainConfig(dim=4, min_count=1)).terms == ["c", "a", "b", "d", "e"]
+        assert train(corpus, TrainConfig(dim=4, min_count=2)).terms == ["c", "a", "b"]
+
     def test_deterministic_repeat(self):
         corpus = cooccurrence_corpus(n_docs=60)
         cfg = TrainConfig(dim=12, epochs=2)
@@ -536,6 +555,7 @@ class TestTrainConfig:
             {"min_count": 0},
             {"lr_final": 0.0},
             {"lr_final": 0.5, "lr_initial": 0.1},
+            {"lr_initial": math.inf},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from eventsearch.embedding import EmbeddingModel
 from eventsearch.errors import UndefinedBaseline
 from eventsearch.evaluation import format_report, recall_increase
-from eventsearch.expansion import StopwordList
+from eventsearch.expansion import StopwordList, expand_query
 from eventsearch.index import build_index
-from eventsearch.ranking import Bm25
+from eventsearch.ranking import Bm25, TfIdf, retrieve
 
 from util import corpus_from_token_lists, random_docs
 
@@ -92,6 +95,38 @@ class TestRecallIncrease:
             assert report.increase_pct >= 0.0
             assert report.expanded_hits >= report.seed_hits
         assert checked > 10
+
+
+_POOL = ["a", "b", "c", "d", "e", "f"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(_POOL), max_size=8), max_size=12),
+    st.lists(st.sampled_from(_POOL), min_size=1, max_size=5, unique=True),
+    st.data(),
+    st.lists(st.sampled_from(_POOL), min_size=1, max_size=2, unique=True),
+    st.sampled_from([0.1, 0.5, 0.9]),
+    st.one_of(st.just(TfIdf()), st.builds(Bm25, st.floats(0.1, 3.0), st.floats(0.0, 1.0))),
+    st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+)
+def test_hits_are_the_lengths_of_retrieve(token_lists, terms, data, seed, min_sim, scorer,
+                                          threshold):
+    """retrieve is the reference for the counts recall_increase reports."""
+    matrix = data.draw(arrays(np.float64, (len(terms), 3), elements=st.integers(-3, 3)))
+    assume(np.all(np.any(matrix != 0, axis=1)))
+    model = EmbeddingModel(terms, matrix)
+    index = build_index(corpus_from_token_lists(token_lists))
+    query = expand_query(seed, model, NO_STOPS, min_sim=min_sim)
+    seed_hits = len(retrieve(index, query.without_expansion(), scorer, threshold))
+    expanded_hits = len(retrieve(index, query, scorer, threshold))
+    try:
+        report = recall_increase(index, seed, model, NO_STOPS, min_sim=min_sim,
+                                 threshold=threshold, scorer=scorer)
+    except UndefinedBaseline:
+        assert seed_hits == 0
+    else:
+        assert (report.seed_hits, report.expanded_hits) == (seed_hits, expanded_hits)
 
 
 class TestFormatReport:

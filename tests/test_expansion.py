@@ -76,7 +76,6 @@ class TestExpandQuery:
         )
         query = expand_query(["back to school"], model, stops)
         assert "to" in query.seed_terms
-        assert query.stopword_seeds == frozenset({"to"})
         # 'near' is close to 'to' only; a stop seed proposes no candidates
         assert "near" not in query.expansion_terms
 
@@ -161,7 +160,7 @@ class TestDelta:
         assert query.delta("jewelry") == 1.0
 
     def test_stop_seed_term_is_one(self):
-        query = ExpandedQuery(("to", "school"), {}, frozenset({"to"}))
+        query = ExpandedQuery(("to", "school"), {})
         assert query.delta("to") == 1.0
 
     def test_expansion_term_weight(self):

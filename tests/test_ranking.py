@@ -88,6 +88,8 @@ class TestBm25:
             Bm25(b=1.5)
         with pytest.raises(ValueError):
             Bm25(k1=math.nan)
+        with pytest.raises(ValueError):
+            Bm25(k1=math.inf)
 
     def test_hand_value(self, small_index):
         # d0000 has |d| = 3, avgdl = 2.5; tf(a) = 2, idf(a) = ln(3/2)+1

@@ -32,6 +32,8 @@ NOISE_POWER = 0.75
 # (center, context) pairs per SGD step. A batch reads the vectors as they stood before
 # it; at 256 its summed stale updates no longer separate the seasonal-drift test months.
 BATCH_PAIRS = 64
+# vector-file rows per numpy conversion; a whole 3.4k-row file at once peaks 8 MB higher
+BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -70,8 +72,6 @@ class EmbeddingModel:
             raise DimensionMismatch(
                 f"matrix has shape {self._matrix.shape}, expected ({len(self._terms)}, dim)"
             )
-        if not np.isfinite(self._matrix).all():
-            raise ValueError("matrix holds a non-finite component")
         self.dim = self._matrix.shape[1]
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
@@ -79,7 +79,9 @@ class EmbeddingModel:
         for i, term in enumerate(self._terms):
             if self._rows.setdefault(term, i) != i:
                 raise ValueError(f"duplicate term {term!r}")
-        self._norms = np.linalg.norm(self._matrix, axis=1)
+        self._norms = _norms(self._matrix)
+        if not np.isfinite(self._norms).all():
+            raise ValueError("matrix holds a non-finite component or a norm that overflows")
         self._matrix.flags.writeable = False
         self._norms.flags.writeable = False
         self.month_key = month_key
@@ -99,6 +101,12 @@ class EmbeddingModel:
 
     def __len__(self) -> int:
         return len(self._terms)
+
+
+def _norms(matrix: np.ndarray) -> np.ndarray:
+    """Row norms; a row whose norm overflows gets inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(matrix, axis=1)
 
 
 def sim(model: EmbeddingModel, i: str, j: str) -> float:
@@ -240,13 +248,36 @@ def save_vectors(model: EmbeddingModel, dest: PathOrFile) -> None:
             handle.write(f"{term} {components}\n")
 
 
+def _unwritten_form(text: str) -> bool:
+    """Whether component text holds what float() reads but save_vectors never writes."""
+    return not text.isascii() or any(c in text for c in "_\t\r\x0b\x0c")
+
+
+def _bulk_rows(rows: list[str], dim: int) -> tuple[list[str], np.ndarray]:
+    """Words and components of the rows, BLOCK_ROWS rows per numpy conversion: ValueError
+    where a row may break a rule that load_vectors checks line by line."""
+    words = [row.partition(" ")[0] for row in rows]
+    if not all(map(FIELD.fullmatch, words)):  # EmbeddingModel refuses a repeated word
+        raise ValueError("a word is empty or holds whitespace")
+    matrix = np.empty((len(rows), dim))
+    for lo in range(0, len(rows), BLOCK_ROWS):
+        block = rows[lo : lo + BLOCK_ROWS]
+        if any(row.count(" ") != dim for row in block):
+            raise ValueError("a row has the wrong component count")
+        text = " ".join([row.partition(" ")[2] for row in block])
+        if _unwritten_form(text):
+            raise ValueError("a number is in a form never written")
+        matrix[lo : lo + len(block)] = np.array(text.split(" "), np.float64).reshape(-1, dim)
+    return words, matrix
+
+
 def load_vectors(source: PathOrFile, month_key: MonthKey | None = None) -> EmbeddingModel:
     """Read a word2vec text file back into an EmbeddingModel.
 
     Raises FormatError (with the offending line number) on malformed content, including
-    nan and inf components, and words and numbers in forms save_vectors never writes (a word
-    holding whitespace, '1_0', '\u0661', whitespace but ' '), and DimensionMismatch when a
-    row's component count differs from the header.
+    nan and inf components, a row whose norm overflows float64, and words and numbers in
+    forms save_vectors never writes (a word holding whitespace, '1_0', '\u0661', whitespace
+    but ' '), and DimensionMismatch when a row's component count differs from the header.
     """
     lines = read_lines(source, "vector")
     header = lines[0].split(" ")
@@ -262,6 +293,10 @@ def load_vectors(source: PathOrFile, month_key: MonthKey | None = None) -> Embed
             f"header promises {vocab_size} rows, file has {len(lines) - 1}", line=len(lines)
         )
 
+    try:  # the whole file in bulk; on any fault the line-by-line pass below names its line
+        return EmbeddingModel(*_bulk_rows(lines[1:], dim), month_key)
+    except ValueError:
+        pass
     words: dict[str, None] = {}  # an ordered set, for the duplicate check
     matrix = np.empty((vocab_size, dim), dtype=np.float64)
     for lineno, row in enumerate(lines[1:], start=2):
@@ -275,9 +310,7 @@ def load_vectors(source: PathOrFile, month_key: MonthKey | None = None) -> Embed
             raise DimensionMismatch(
                 f"line {lineno}: row has {len(fields) - 1} components, header says {dim}"
             )
-        text = row[len(word) + 1 :]
-        if (not text.isascii() or "_" in text or "\t" in text or "\r" in text or "\x0b" in text
-                or "\x0c" in text):
+        if _unwritten_form(row[len(word) + 1 :]):
             raise FormatError(f"number in a form never written, in row {word!r}", line=lineno)
         try:
             components = [float(c) for c in fields[1:]]
@@ -286,5 +319,7 @@ def load_vectors(source: PathOrFile, month_key: MonthKey | None = None) -> Embed
         if not all(map(math.isfinite, components)):
             raise FormatError(f"non-finite vector component in row {word!r}", line=lineno)
         matrix[lineno - 2] = components
+        if not np.isfinite(_norms(matrix[lineno - 2 : lineno - 1]))[0]:
+            raise FormatError(f"vector norm overflows float64 in row {word!r}", line=lineno)
         words[word] = None
     return EmbeddingModel(words, matrix, month_key)

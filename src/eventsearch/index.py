@@ -12,7 +12,7 @@ import numpy as np
 
 from .corpus import (ItemDocument, MonthKey, MonthlyCorpus, format_month, parse_date, parse_month,
                      tokenize)
-from .errors import FormatError
+from .errors import DuplicateDocumentId, FormatError
 from .textfile import FIELD, PathOrFile, read_lines, writer
 
 FORMAT = "INDEXv2"
@@ -123,6 +123,26 @@ def _parse_doc_line(line: str, lineno: int, month_key: MonthKey) -> ItemDocument
     return ItemDocument(doc_id, sold, category, title, tuple(tokens))
 
 
+def _bulk_documents(lines: list[str], month_key: MonthKey) -> tuple[ItemDocument, ...]:
+    """The D lines' documents, all checked at once: ValueError where a line may break a rule
+    that _parse_doc_line checks."""
+    rows = [line.split(" ") for line in lines]
+    if not all(fields[0] == "D" and len(fields) >= 4 and FIELD.fullmatch(fields[1])
+               and fields[3].isascii() and fields[3].isdigit()
+               and int(fields[3]) <= len(fields) - 4 for fields in rows):
+        raise ValueError("a line is malformed")
+    dates = {text: parse_date(text) for text in {fields[2] for fields in rows}}
+    # a space splits tokens and lower() changes nothing a normalized token holds, so the
+    # whole stream is normalized exactly when every line's tokens are
+    stream = [token for fields in rows for token in fields[4:]]
+    if (any((sold.year, sold.month) != month_key for sold in dates.values())
+            or tokenize("", " ".join(stream)) != stream):
+        raise ValueError("a date or a token is malformed")
+    return tuple(ItemDocument(fields[1], dates[fields[2]], " ".join(fields[4 : 4 + int(fields[3])]),
+                              " ".join(fields[4 + int(fields[3]) :]), tuple(fields[4:]))
+                 for fields in rows)
+
+
 def load_index(source: PathOrFile) -> InvertedIndex:
     """Read an index file back, validating every line, and rebuild its postings."""
     lines = read_lines(source, "index")
@@ -141,6 +161,11 @@ def load_index(source: PathOrFile) -> InvertedIndex:
         raise FormatError(f"invalid document count {header[2]!r}", line=1)
     doc_count = int(header[2])
 
+    if len(lines) - 1 == doc_count:
+        try:  # all lines at once; on any fault the line-by-line pass below names its line
+            return build_index(MonthlyCorpus(month_key, _bulk_documents(lines[1:], month_key)))
+        except (ValueError, DuplicateDocumentId):
+            pass
     documents: dict[str, ItemDocument] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         doc = _parse_doc_line(line, lineno, month_key)

@@ -1,6 +1,7 @@
 """What the benchmark relies on: the library functions its traced run wraps by
-name, the planted-pair check it makes on season-build's trained vectors, and
-its brute-force output checks on a served month's index and rankings."""
+name, the planted-pair check it makes on season-build's trained vectors, the
+files cli-session loads, and its brute-force output checks on a served month's
+index and rankings."""
 
 import importlib
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from eventsearch.corpus import format_month, ingest, segment_by_month
-from eventsearch.embedding import EmbeddingModel, TrainConfig, sim, train
+from eventsearch.embedding import EmbeddingModel, TrainConfig, load_vectors, sim, train
 from eventsearch.evaluation import recall_increase
 from eventsearch.expansion import expand_query
 from eventsearch.index import build_index, load_index, save_index
@@ -50,6 +51,20 @@ def test_planted_pairs_train_closer_than_control(gen, seed):
         a, b, control = season.planted[format_month(month.month_key)]
         model = train(month, cfg)
         assert sim(model, a, b) > sim(model, a, control)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cli_files_load_exactly(gen, seed, tmp_path):
+    """cli-session's vector file loads as gen's terms and vectors, bit for bit, and its
+    month's saved and reloaded index has the brute-force document frequencies."""
+    served = gen["served"](seed, gen["SIZES"]["tiny"]["cli"], "cli")
+    (tmp_path / "model.vec").write_text("".join(served.vector_lines()), encoding="utf-8")
+    model = load_vectors(tmp_path / "model.vec")
+    assert model.terms == served.terms
+    assert model._matrix.tobytes() == served.vectors.tobytes()
+    (month,) = segment_by_month(ingest(doc.tsv() for doc in served.docs).documents)
+    save_index(build_index(month), tmp_path / "month.idx")
+    assert load_index(tmp_path / "month.idx").doc_freq == BRUTE["Corpus"](served.docs).df
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from eventsearch import embedding
 from eventsearch.embedding import (
     BATCH_PAIRS,
+    BLOCK_ROWS,
     EmbeddingModel,
     TrainConfig,
     _pairs,
@@ -73,6 +75,12 @@ class TestEmbeddingModel:
     def test_non_finite_component(self, value):
         with pytest.raises(ValueError, match="non-finite"):
             EmbeddingModel(["a", "b"], [[1.0, 2.0], [3.0, value]])
+
+    @pytest.mark.parametrize("row", [[1.7976931348623157e308, 0.0], [1e200, 1e200], [0.0, 1e155]])
+    def test_row_whose_norm_overflows(self, row):
+        # np.linalg.norm squares the components: these norms would read inf, and sim() 1.0
+        with pytest.raises(ValueError, match="norm that overflows"):
+            EmbeddingModel(["a", "b"], [[1.0, 2.0], row])
 
     def test_empty_model_keeps_its_dim(self):
         model = EmbeddingModel([], np.empty((0, 7)))
@@ -317,6 +325,18 @@ class TestVectorFileFormat:
     @pytest.mark.parametrize(
         "text, line",
         [
+            ("3 2\na 1e200 0.0\nb 1e200 1e200\nc 0.0 1e200\n", 2),
+            ("2 1\na 1.0\nb 1.7976931348623157e308\n", 3),
+        ],
+    )
+    def test_row_whose_norm_overflows(self, text, line):
+        with pytest.raises(FormatError, match="norm overflows") as excinfo:
+            load_vectors(io.StringIO(text))
+        assert excinfo.value.line == line
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
             ("1 2\na 1_0 \u0661\n", 2),  # float() reads these as 10.0 and 1.0
             ("1 2\na 1.0 2.0\r\n", 2),
             ("1 2\na 1.0 \t2.0\n", 2),
@@ -373,9 +393,11 @@ class TestVectorFileFormat:
         assert [p.name for p in tmp_path.iterdir()] == ["m.vec"]
 
 
+# at most 4 components of at most 6e153 keep every row's squared norm below the float64 maximum;
+# larger rows are refused (test_row_whose_norm_overflows)
 _COMPONENTS = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]),
-    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 6e153]),
+    st.floats(-6e153, 6e153),
 )
 
 
@@ -399,6 +421,113 @@ def test_vector_round_trip_is_exact_and_every_prefix_fails(drawn):
     for cut in range(len(text)):
         with pytest.raises(FormatError):
             load_vectors(io.StringIO(text[:cut]))
+
+
+def reference_load_vectors(text):
+    """load_vectors line by line, with a float() call per component, for a complete file
+    whose header is '<n> <dim>' with dim >= 1: (terms, matrix), or the error raised."""
+    lines = text.split("\n")[:-1]
+    vocab_size, dim = map(int, lines[0].split(" "))
+    if len(lines) - 1 != vocab_size:
+        raise FormatError(
+            f"header promises {vocab_size} rows, file has {len(lines) - 1}", line=len(lines)
+        )
+    words, matrix = {}, np.empty((vocab_size, dim))
+    for lineno, row in enumerate(lines[1:], start=2):
+        fields = row.split(" ")
+        word = fields[0]
+        if not word or any(c.isspace() for c in word):
+            raise FormatError(f"word {word!r} is empty or holds whitespace", line=lineno)
+        if word in words:
+            raise FormatError(f"duplicate word {word!r}", line=lineno)
+        if len(fields) - 1 != dim:
+            raise DimensionMismatch(
+                f"line {lineno}: row has {len(fields) - 1} components, header says {dim}"
+            )
+        text = row[len(word) + 1 :]
+        if not text.isascii() or any(c in text for c in "_\t\r\x0b\x0c"):
+            raise FormatError(f"number in a form never written, in row {word!r}", line=lineno)
+        try:
+            components = [float(c) for c in fields[1:]]
+        except ValueError:
+            message = f"non-numeric vector component in row {word!r}"
+            raise FormatError(message, line=lineno) from None
+        if not all(map(math.isfinite, components)):
+            raise FormatError(f"non-finite vector component in row {word!r}", line=lineno)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.linalg.norm([components], axis=1)[0]):
+                raise FormatError(f"vector norm overflows float64 in row {word!r}", line=lineno)
+        matrix[lineno - 2] = components
+        words[word] = None
+    return list(words), matrix
+
+
+# forms a component or word can take that save_vectors never writes, and some it does
+_PLANTED_COMPONENTS = ["1_0", " 1", "+1", "Infinity", "nan", "\u0661", "1e5", ".5", "1.", "-0",
+                       "0x1p3", "", "\t2", "junk", "1e400", "1\x1c", "1.7976931348623157e308"]
+_PLANTED_WORDS = ["", "a b", "a\tb", "a\u3000b", "\u00e9", "a_b", "1"]
+
+
+@st.composite
+def vector_files(draw):
+    """A file save_vectors writes, then up to three planted faults: a component or word
+    replaced, a word repeated, a row one component short or long, a component moved to the
+    next row, or a '0 <dim>' header."""
+    dim = draw(st.integers(1, 3))
+    words = draw(st.lists(st.text("ab_\u00e9", min_size=1, max_size=2), max_size=6, unique=True))
+    components = st.floats(-1e150, 1e150).map(repr)  # no norm overflows unless planted
+    rows = [[word] + draw(st.lists(components, min_size=dim, max_size=dim)) for word in words]
+    header = f"{len(rows)} {dim}"
+    faults = ["component", "word", "repeat", "short", "long", "shift", "header"]
+    for fault, pick, planted in draw(st.lists(
+        st.tuples(st.sampled_from(faults), st.integers(0, 99), st.integers(0, 99)), max_size=3
+    )):
+        if fault == "header":
+            header = f"0 {dim}"
+        elif rows:
+            i = pick % len(rows)
+            row = rows[i]
+            planted_component = _PLANTED_COMPONENTS[planted % len(_PLANTED_COMPONENTS)]
+            if fault == "component" and len(row) > 1:
+                row[1 + planted % (len(row) - 1)] = planted_component
+            elif fault == "word":
+                row[0] = _PLANTED_WORDS[planted % len(_PLANTED_WORDS)]
+            elif fault == "repeat":
+                row[0] = rows[planted % len(rows)][0]
+            elif fault == "short" and len(row) > 1:
+                row.pop()
+            elif fault == "long":
+                row.append("0.5")
+            elif fault == "shift" and len(row) > 1 and i + 1 < len(rows):
+                rows[i + 1].insert(1, row.pop())
+    return "".join(f"{line}\n" for line in [header] + [" ".join(row) for row in rows])
+
+
+def _outcome(load, text):
+    try:
+        return load(text)
+    except (FormatError, DimensionMismatch) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("block_rows", [2, BLOCK_ROWS])
+@settings(max_examples=300, deadline=None)
+@given(vector_files())
+@example("2 2\na 1.0\nb 2.0 3.0 4.0\n")  # both rows' counts wrong, the file's total right
+def test_load_vectors_matches_line_by_line_reference(block_rows, text):
+    """Same terms and matrix bytes, or the same error type, message and line."""
+    def bulk(text):
+        model = load_vectors(io.StringIO(text))
+        return model.terms, model._matrix
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embedding, "BLOCK_ROWS", block_rows)
+        got = _outcome(bulk, text)
+    want = _outcome(reference_load_vectors, text)
+    if isinstance(want[1], np.ndarray):
+        assert (got[0], got[1].tobytes()) == (want[0], want[1].tobytes())
+    else:
+        assert got == want
 
 
 def reference_pairs(sentences, window):

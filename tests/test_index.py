@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from eventsearch.corpus import ItemDocument, MonthlyCorpus, segment_by_month
 from eventsearch.errors import DuplicateDocumentId, FormatError
-from eventsearch.index import InvertedIndex, build_index, load_index, save_index
+from eventsearch.index import InvertedIndex, _parse_doc_line, build_index, load_index, save_index
 
 from util import corpus_from_token_lists
 
@@ -268,6 +268,87 @@ def test_round_trip_equals_build_and_every_prefix_fails(specs):
     for cut in range(len(text)):
         with pytest.raises(FormatError):
             load_index(io.StringIO(text[:cut]))
+
+
+def reference_load_index(text):
+    """load_index line by line, each D line through _parse_doc_line, for a complete file
+    whose header is 'INDEXv2 2018-02 <n>'."""
+    lines = text.split("\n")[:-1]
+    doc_count = int(lines[0].split(" ")[2])
+    documents = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        doc = _parse_doc_line(line, lineno, (2018, 2))
+        if doc.doc_id in documents:
+            raise FormatError(f"duplicate doc_id {doc.doc_id!r}", line=lineno)
+        documents[doc.doc_id] = doc
+    if len(documents) != doc_count:
+        raise FormatError(
+            f"header promises {doc_count} documents, found {len(documents)}", line=len(lines) + 1
+        )
+    return build_index(MonthlyCorpus((2018, 2), tuple(documents.values())))
+
+
+_PLANTED_DATES = ["2018-02-30", "2018-03-01", "2017-02-01", "20180201", "2018-2-01",
+                  "2018-02-0\u0661", "2018-02-01"]
+_PLANTED_COUNTS = ["+1", "\u0661", "9", "-1", "", "01"]
+_PLANTED_TOKENS = ["A", "a-b", "", "\u00e9", "\u0130", "\u03a3", "a\tb"]
+
+
+@st.composite
+def index_files(draw):
+    """A file save_index writes for 2018-02, zero-token documents included, then up to three
+    planted faults: a date, category count or token replaced or added, a doc_id repeated, a
+    line not starting 'D' or cut after its date, or a header promising one document more."""
+    docs = draw(st.lists(
+        st.tuples(st.text("ab1", min_size=1, max_size=2), st.integers(1, 28),
+                  st.lists(st.text("ab1\u00e9", min_size=1, max_size=2), max_size=3),
+                  st.integers(0, 3)),
+        max_size=6, unique_by=lambda doc: doc[0],
+    ))
+    rows = [["D", doc_id, f"2018-02-{day:02d}", str(min(cat, len(tokens)))] + tokens
+            for doc_id, day, tokens, cat in docs]
+    count = len(rows)
+    for fault, pick, planted in draw(st.lists(
+        st.tuples(st.sampled_from(["date", "count", "token", "repeat", "kind", "cut", "header"]),
+                  st.integers(0, 99), st.integers(0, 99)),
+        max_size=3,
+    )):
+        if fault == "header":
+            count += 1
+        elif rows:
+            row = rows[pick % len(rows)]
+            if fault == "date":
+                row[2] = _PLANTED_DATES[planted % len(_PLANTED_DATES)]
+            elif fault == "count" and len(row) > 3:
+                row[3] = _PLANTED_COUNTS[planted % len(_PLANTED_COUNTS)]
+            elif fault == "token" and len(row) > 3:
+                token = _PLANTED_TOKENS[planted % len(_PLANTED_TOKENS)]
+                row.insert(4 + planted % (len(row) - 3), token)
+            elif fault == "repeat":
+                row[1] = rows[planted % len(rows)][1]
+            elif fault == "kind":
+                row[0] = "X"
+            elif fault == "cut":
+                del row[3:]
+    lines = [f"INDEXv2 2018-02 {count}"] + [" ".join(row) for row in rows]
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _index_outcome(load, text):
+    try:
+        index = load(text)
+    except FormatError as exc:
+        return str(exc)
+    arrays = (index.doc_len, index.doc_rank, index.tfs, index.offsets, index.doc_rows)
+    return list(index.doc_store.items()), index.terms, [array.tolist() for array in arrays]
+
+
+@settings(max_examples=300, deadline=None)
+@given(index_files())
+def test_load_index_matches_line_by_line_reference(text):
+    """The same documents and postings arrays, or the same error message and line."""
+    got = _index_outcome(lambda text: load_index(io.StringIO(text)), text)
+    assert got == _index_outcome(reference_load_index, text)
 
 
 def _reference_build(documents):

@@ -119,7 +119,7 @@ def _read_documents(path: str):
     for lineno, message in result.errors:
         log.warning("%s:%d: skipped: %s", path, lineno, message)
     if result.errors:
-        log.warning("%s: skipped %d malformed line(s)", path, result.error_count)
+        log.warning("%s: skipped %d malformed line(s)", path, len(result.errors))
     return result.documents
 
 
@@ -203,11 +203,12 @@ def cmd_index(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.model:
-        model = load_vectors(args.model)
-        query = expand_query([args.seed], model, _stopwords(args), k=args.k, min_sim=args.min_sim)
+    model = load_vectors(args.model) if args.model else None
+    stopwords = _stopwords(args)  # read without a model too, so a bad file fails every search
+    if model is None:
+        query = seed_only_query([args.seed], k=args.k, min_sim=args.min_sim)
     else:
-        query = seed_only_query([args.seed], _stopwords(args), k=args.k, min_sim=args.min_sim)
+        query = expand_query([args.seed], model, stopwords, k=args.k, min_sim=args.min_sim)
     index = load_index(args.index)
     results = retrieve(index, query, _scorer(args), threshold=args.threshold, limit=args.limit)
     if results:

@@ -105,10 +105,6 @@ class IngestResult:
     documents: list[ItemDocument] = field(default_factory=list)
     errors: list[tuple[int, str]] = field(default_factory=list)
 
-    @property
-    def error_count(self) -> int:
-        return len(self.errors)
-
 
 def parse_record_line(line: str) -> ItemDocument:
     """Parse one TAB-separated record: doc_id, sold_date, category, title.

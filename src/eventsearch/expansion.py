@@ -89,38 +89,27 @@ class ExpandedQuery:
         return ExpandedQuery(self.seed_terms, {})
 
 
-def normalize_seed(seed: Iterable[str]) -> list[str]:
-    """Tokenize raw seed entries and dedupe, keeping first-seen order."""
-    ordered: list[str] = []
-    seen = set()
-    for raw in seed:
-        for token in tokenize("", raw):
-            if token not in seen:
-                seen.add(token)
-                ordered.append(token)
-    return ordered
-
-
-def _check_expansion_params(k: int, min_sim: float) -> None:
-    if not 1 <= k <= 4:
-        raise ValueError(f"k must be in 1..4, got {k}")
-    if not 0.0 < min_sim < 1.0:
-        raise ValueError(f"min_sim must be in (0, 1), got {min_sim}")
-
-
 def seed_only_query(
     seed: Iterable[str],
-    stopwords: StopwordList | None = None,
     k: int = DEFAULT_K,
     min_sim: float = DEFAULT_MIN_SIM,
 ) -> ExpandedQuery:
     """Normalized query with an empty expansion map (no model involved).
 
-    stopwords, k and min_sim take no part in it, but k and min_sim must be valid
-    for expand_query.
+    Seed entries are tokenized and deduplicated, keeping first-seen order. k and min_sim
+    take no part in it, but they must be valid for expand_query.
     """
-    _check_expansion_params(k, min_sim)
-    terms = normalize_seed(seed)
+    if not 1 <= k <= 4:
+        raise ValueError(f"k must be in 1..4, got {k}")
+    if not 0.0 < min_sim < 1.0:
+        raise ValueError(f"min_sim must be in (0, 1), got {min_sim}")
+    terms: list[str] = []
+    seen = set()
+    for raw in seed:
+        for token in tokenize("", raw):
+            if token not in seen:
+                seen.add(token)
+                terms.append(token)
     if not terms:
         raise EmptySeed("no seed terms left after normalization")
     return ExpandedQuery(tuple(terms), {})
@@ -144,7 +133,7 @@ def expand_query(
     term is a stop word. Seed terms missing from the vocabulary contribute
     no candidates but stay in the query.
     """
-    query = seed_only_query(seed, stopwords, k, min_sim)
+    query = seed_only_query(seed, k, min_sim)
     stopwords = stopwords if stopwords is not None else StopwordList.built_in()
     content_terms = [t for t in query.seed_terms if t not in stopwords]
     if not content_terms:

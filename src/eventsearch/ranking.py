@@ -50,42 +50,18 @@ class RankedResult:
 
 
 def _contribution(scorer: ScorerKind, tf, idf, delta, doc_len, avgdl: float):
-    """One query term's share of a document's score: its weight times delta. tf, idf, delta
-    and doc_len may be arrays, one element per posting, each taking a scalar's operations."""
+    """Each posting's share of its document's score: its term's weight times delta. tf, idf,
+    delta and doc_len are arrays with one element per posting."""
     if isinstance(scorer, Bm25):
         norm = 1.0 - scorer.b + scorer.b * (doc_len / avgdl)
         return idf * tf * (scorer.k1 + 1.0) / (tf + scorer.k1 * norm) * delta
     return tf * idf * delta
 
 
-def score_document(
-    index: InvertedIndex,
-    doc_id: str,
-    query: ExpandedQuery,
-    scorer: ScorerKind = TfIdf(),
-) -> RankedResult:
-    """Score one document, listing each term's contribution; the terms are
-    summed in lexicographic order, bit-identical to retrieve's result."""
-    if doc_id not in index.doc_store:
-        raise UnknownDocument(doc_id)
-    tokens = index.doc_store[doc_id].tokens
-    doc_len, avgdl = len(tokens), index.avg_doc_len
-    score = 0.0
-    matched = []
-    for term in sorted(query.all_terms()):
-        tf = tokens.count(term)
-        if tf == 0:
-            continue
-        contribution = _contribution(scorer, tf, index.idf(term), query.delta(term), doc_len, avgdl)
-        matched.append((term, contribution))
-        score += contribution
-    return RankedResult(doc_id, score, tuple(matched))
-
-
 def _accumulate(index: InvertedIndex, query: ExpandedQuery, scorer: ScorerKind, threshold: float):
     """Every document's score under query, with the postings that made it.
 
-    Terms, in score_document's order, add their contributions into one dense accumulator
+    Terms, in lexicographic order, add their contributions into one dense accumulator
     in O(N + sum of their df). Returns the terms, each term's posting count, and per posting
     its document row and contribution, then the scores indexed by document row."""
     if not threshold >= 0:
@@ -98,9 +74,39 @@ def _accumulate(index: InvertedIndex, query: ExpandedQuery, scorer: ScorerKind, 
     idf = np.repeat([index.idf(term) for term in terms], counts)
     delta = np.repeat([query.delta(term) for term in terms], counts)
     contribution = _contribution(scorer, tfs, idf, delta, index.doc_len[rows], index.avg_doc_len)
-    scores = np.zeros(index.doc_count)
-    np.add.at(scores, rows, contribution)  # in posting order: term after term for each document
+    # in posting order: term after term for each document, from 0.0; with no postings,
+    # bincount returns int64 zeros, so the cast keeps every score a float
+    scores = np.bincount(rows, contribution, minlength=index.doc_count).astype(float, copy=False)
     return terms, counts, rows, contribution, scores
+
+
+def _results(index: InvertedIndex, accumulated, hits: np.ndarray) -> list[RankedResult]:
+    """The RankedResults of the document rows hits, in that order, from _accumulate's output."""
+    terms, counts, rows, contribution, scores = accumulated
+    position = np.full(index.doc_count, -1)
+    position[hits] = np.arange(len(hits))
+    at = position[rows]
+    kept = (at >= 0).nonzero()[0]
+    term_of = np.repeat(np.arange(len(terms)), counts)[kept]
+    matched = [[] for _ in hits]
+    for i, t, value in zip(at[kept].tolist(), term_of.tolist(), contribution[kept].tolist()):
+        matched[i].append((terms[t], value))
+    ranked = zip(hits.tolist(), scores[hits].tolist(), matched)
+    return [RankedResult(index.doc_ids[row], score, tuple(pairs)) for row, score, pairs in ranked]
+
+
+def score_document(
+    index: InvertedIndex,
+    doc_id: str,
+    query: ExpandedQuery,
+    scorer: ScorerKind = TfIdf(),
+) -> RankedResult:
+    """Score one document, listing each term's contribution in lexicographic order; this is
+    retrieve's result for the document, whether or not retrieve would keep it."""
+    if doc_id not in index.doc_store:
+        raise UnknownDocument(doc_id)
+    row = np.array([index.doc_ids.index(doc_id)])
+    return _results(index, _accumulate(index, query, scorer, 0.0), row)[0]
 
 
 def count_hits(index: InvertedIndex, query: ExpandedQuery, scorer: ScorerKind,
@@ -119,21 +125,13 @@ def retrieve(
     """Documents matching any query term, kept when score > threshold,
     sorted by score descending with doc_id breaking ties; only the documents
     returned get matched_terms."""
-    terms, counts, rows, contribution, scores = _accumulate(index, query, scorer, threshold)
+    accumulated = _accumulate(index, query, scorer, threshold)
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
+    scores = accumulated[-1]
     hits = (scores > threshold).nonzero()[0]
     hits = hits[np.lexsort((index.doc_rank[hits], -scores[hits]))][:limit]
-    position = np.full(index.doc_count, -1)
-    position[hits] = np.arange(len(hits))
-    at = position[rows]
-    kept = (at >= 0).nonzero()[0]
-    term_of = np.repeat(np.arange(len(terms)), counts)[kept]
-    matched = [[] for _ in hits]
-    for i, t, value in zip(at[kept].tolist(), term_of.tolist(), contribution[kept].tolist()):
-        matched[i].append((terms[t], value))
-    ranked = zip(hits.tolist(), scores[hits].tolist(), matched)
-    return [RankedResult(index.doc_ids[row], score, tuple(pairs)) for row, score, pairs in ranked]
+    return _results(index, accumulated, hits)
 
 
 def format_results(results: list[RankedResult]) -> str:

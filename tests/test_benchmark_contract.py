@@ -99,3 +99,16 @@ def test_served_month_passes_brute_force_checks(gen, seed, tmp_path):
         kept = corpus.kept(weights, spec, op["threshold"])
         rows = [(r.doc_id, r.score, r.matched_terms) for r in results]
         assert BRUTE["check_ranking"](rows, kept, op["limit"], BRUTE["SCORE_TOL"], f"op {i}") == []
+
+
+def test_curve_runs_at_one_tiny_size(capsys):
+    """perfbench/curve.py runs on the library's public API: one size, one row per band."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "dont_write_bytecode", True)
+        patch.syspath_prepend(str(PERFBENCH))
+        main = runpy.run_path(str(PERFBENCH / "curve.py"))["main"]
+        patch.setitem(main.__globals__, "SIZES", (300,))
+        assert main() == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.startswith("docs\t") and len(rows) == 3
+    assert all(row.startswith("300\t") for row in rows)

@@ -70,7 +70,7 @@ class TestIngestCommand:
         with open(out_dir / "2018-02.tsv", encoding="utf-8") as handle:
             result = ingest(handle)
         assert [d.doc_id for d in result.documents] == ["v1", "v2", "v3", "v4"]
-        assert result.error_count == 0
+        assert len(result.errors) == 0
 
     def test_failed_write_keeps_old_partition(self, workspace, capsys, monkeypatch):
         out_dir = workspace / "months"
@@ -242,6 +242,18 @@ class TestIndexAndSearchCommands:
         )
         assert code == 0
         assert {line.split("\t")[1] for line in out.splitlines()} == {"v1", "v2"}
+
+    def test_seed_only_search_reads_stop_file(self, workspace, capsys):
+        index_path = self._build(workspace, capsys)
+        bad = workspace / "bad.stop"
+        bad.write_text("Bad\n", encoding="utf-8")
+        for stop_file, expected in ((workspace / "missing.stop", 2), (bad, 1)):
+            code, out, err = run(
+                capsys, "search", "--index", str(index_path), "--seed", "valentine",
+                "--stopwords", str(stop_file),
+            )
+            assert (code, out) == (expected, "")
+            assert "error" in err
 
     def test_threshold_above_everything_prints_nothing(self, workspace, capsys):
         index_path = self._build(workspace, capsys)

@@ -54,7 +54,7 @@ class TestTokenize:
 class TestIngest:
     def test_well_formed_line(self):
         result = ingest(["i1\t2018-02-03\tJewelry\tValentine Heart Necklace"])
-        assert result.error_count == 0
+        assert len(result.errors) == 0
         (doc,) = result.documents
         assert doc.doc_id == "i1"
         assert doc.month_key == (2018, 2)
@@ -63,18 +63,18 @@ class TestIngest:
     def test_invalid_month_skipped_and_counted(self):
         result = ingest(["i2\t2018-13-01\tX\tY"])
         assert result.documents == []
-        assert result.error_count == 1
+        assert len(result.errors) == 1
         assert result.errors[0][0] == 1
 
     def test_empty_stream(self):
         result = ingest([])
-        assert result.documents == [] and result.error_count == 0
+        assert result.documents == [] and len(result.errors) == 0
 
     def test_comments_and_blank_lines_ignored(self):
         lines = ["# header", "", "i1\t2018-02-03\tA\tB", "# trailing"]
         result = ingest(lines)
         assert [d.doc_id for d in result.documents] == ["i1"]
-        assert result.error_count == 0
+        assert len(result.errors) == 0
 
     def test_wrong_field_count_counted_with_line_number(self):
         lines = ["i1\t2018-02-03\tA\tB", "too\tfew", "i2\t2018-02-04\tA\tB\textra"]
@@ -90,7 +90,7 @@ class TestIngest:
     def test_bad_date_shapes_rejected(self):
         result = ingest(["i1\t2018-2-3\tA\tB", "i2\t2018-02-30\tA\tB"])
         assert result.documents == []
-        assert result.error_count == 2
+        assert len(result.errors) == 2
 
 
 class TestSegmentByMonth:

@@ -244,7 +244,7 @@ class TestInvariants:
 
 class TestSeedOnlyQuery:
     def test_no_expansion(self):
-        query = seed_only_query(["Valentines Day"], NO_STOPS)
+        query = seed_only_query(["Valentines Day"])
         assert query.seed_terms == ("valentines", "day")
         assert query.expansion_terms == {}
 
@@ -257,12 +257,12 @@ class TestSeedOnlyQuery:
 
     def test_empty_seed(self):
         with pytest.raises(EmptySeed):
-            seed_only_query([""], NO_STOPS)
+            seed_only_query([""])
 
     @pytest.mark.parametrize("k, min_sim", [(0, 0.6), (5, 0.6), (4, 0.0), (4, 1.0), (4, math.nan)])
     def test_same_parameter_checks_as_expansion(self, k, min_sim):
         with pytest.raises(ValueError):
-            seed_only_query(["valentines"], NO_STOPS, k=k, min_sim=min_sim)
+            seed_only_query(["valentines"], k=k, min_sim=min_sim)
 
 
 class TestStopwordList:

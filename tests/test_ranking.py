@@ -12,7 +12,8 @@ from eventsearch.corpus import ItemDocument, MonthlyCorpus
 from eventsearch.errors import UnknownDocument
 from eventsearch.expansion import ExpandedQuery
 from eventsearch.index import build_index
-from eventsearch.ranking import Bm25, TfIdf, format_results, retrieve, score_document
+from eventsearch.ranking import (Bm25, TfIdf, count_hits, format_results, retrieve,
+                                score_document)
 
 from oracle import brute_force_retrieve
 from util import corpus_from_token_lists, query_weights, random_docs, random_query
@@ -41,7 +42,7 @@ class TestScoreDocument:
     def test_no_shared_terms(self, small_index):
         query = ExpandedQuery(("zzz",), {})
         result = score_document(small_index, "d0001", query)
-        assert result.score == 0.0
+        assert result.score == 0.0 and type(result.score) is float
         assert result.matched_terms == ()
 
     def test_unknown_document(self, small_index):
@@ -193,13 +194,24 @@ def _queries(draw):
     st.sampled_from([None, 1, 2, 3, 4, 5]),
 )
 def test_retrieve_equals_score_document(token_lists, query, scorer, threshold, limit):
-    index = build_index(corpus_from_token_lists(token_lists))
+    corpus = corpus_from_token_lists(token_lists)
+    index = build_index(corpus)
     results = retrieve(index, query, scorer, threshold)
-    for result in results:
-        assert result == score_document(index, result.doc_id, query, scorer)
-    returned = {r.doc_id for r in results}
-    for doc_id in index.doc_store.keys() - returned:
-        assert score_document(index, doc_id, query, scorer).score <= threshold
+    # bit for bit: score_document shares retrieve's code, so only the oracle sees a change
+    # in summation order
+    bm25 = (scorer.k1, scorer.b) if isinstance(scorer, Bm25) else None
+    expected = brute_force_retrieve(list(corpus.documents), query_weights(query), threshold,
+                                    bm25=bm25)
+    assert [(r.doc_id, r.score, list(r.matched_terms)) for r in results] == expected
+    assert count_hits(index, query, scorer, threshold) == len(results)
+    returned = {r.doc_id: r for r in results}
+    for doc_id in index.doc_store:
+        scored = score_document(index, doc_id, query, scorer)
+        assert type(scored.score) is float  # also for a document no query term matches
+        if doc_id in returned:
+            assert returned[doc_id] == scored
+        else:
+            assert scored.score <= threshold
     assert retrieve(index, query, scorer, threshold, limit) == results[:limit]
     if results:  # the threshold is strict: a document scoring exactly on it is cut
         cut = results[-1].score

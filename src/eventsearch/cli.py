@@ -2,7 +2,7 @@
 
 Each subcommand is a thin adapter over one library operation so that every
 pipeline stage leaves an inspectable artifact on disk. Exit codes: 0 on
-success, 1 on usage errors, 2 on data or format errors.
+success, 1 on usage errors, 2 on data, format, I/O or out-of-memory errors.
 """
 
 from __future__ import annotations
@@ -253,6 +253,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (EventSearchError, OSError) as exc:
         print(f"eventsearch: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # say, numpy refusing an array that --dim makes huge
+        print(f"eventsearch: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     finally:
         logger.handlers, logger.propagate = handlers, propagate

@@ -1,9 +1,11 @@
 """Per-month word embeddings: skip-gram with negative sampling at desk scale.
 
 Training derives every (center, context) pair once and takes its SGD steps
-over fixed minibatches of BATCH_PAIRS pairs as array operations. It stays
-single-threaded, seeded and free of stochastic window shrinking, so a
-(corpus order, seed) pair always reproduces the same vectors bit for bit.
+over fixed minibatches of BATCH_PAIRS pairs as array operations. What no
+batch's step depends on (noise draws, learning rates, scatter orders) is made
+once per block of BLOCK_PAIRS pairs. It stays single-threaded, seeded and
+free of stochastic window shrinking, so a (corpus order, seed) pair always
+reproduces the same vectors bit for bit.
 Models are immutable after construction and safe for concurrent read-only
 queries.
 """
@@ -11,6 +13,7 @@ queries.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
@@ -32,6 +35,9 @@ NOISE_POWER = 0.75
 # (center, context) pairs per SGD step. A batch reads the vectors as they stood before
 # it; at 256 its summed stale updates no longer separate the seasonal-drift test months.
 BATCH_PAIRS = 64
+# pairs (64 batches) whose noise draws, learning rates and scatter plans are made in one
+# pass; whole epochs at once would hold ~8 arrays of n_pairs x (1 + negatives) entries
+BLOCK_PAIRS = 64 * BATCH_PAIRS
 # vector-file rows per numpy conversion; a whole 3.4k-row file at once peaks 8 MB higher
 BLOCK_ROWS = 512
 
@@ -50,9 +56,16 @@ class TrainConfig:
     rng_seed: int = 42
 
     def __post_init__(self):
-        for name in ("dim", "window", "negatives", "epochs", "min_count"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        least = dict(dim=1, window=1, negatives=1, epochs=1, min_count=1, rng_seed=0)
+        for name, bound in least.items():
+            value = getattr(self, name)
+            try:  # held as a Python int, so numpy's fixed-width arithmetic cannot wrap
+                value = operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, value)
+            if value < bound:
+                raise ValueError(f"{name} must be >= {bound}, got {value}")
         if not 0 < self.lr_final <= self.lr_initial:
             raise ValueError(
                 f"need 0 < lr_final <= lr_initial, got {self.lr_final} / {self.lr_initial}"
@@ -172,12 +185,27 @@ def _pairs(sentences: list[list[int]], window: int) -> tuple[np.ndarray, np.ndar
     return np.broadcast_to(ids[:, None], ctx.shape)[keep], ids[ctx[keep]]
 
 
-def _scatter_add(matrix: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> None:
-    """matrix[rows] += updates, summing repeated rows in a fixed order."""
-    order = np.argsort(rows, kind="stable")
-    rows = rows[order]
-    firsts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
-    matrix[rows[firsts]] += np.add.reduceat(updates[order], firsts)
+class _ScatterPlan:
+    """Scatters for consecutive batches of per_batch rows each, planned by one stable sort.
+
+    add(matrix, b, updates) does matrix[batch b's rows] += updates, summing repeated rows
+    in the order a stable argsort of that batch's rows alone would give.
+    """
+
+    def __init__(self, rows: np.ndarray, per_batch: int):
+        key = np.arange(len(rows)) // per_batch * (rows.max() + 1) + rows
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        firsts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        self.rows = rows[order[firsts]]
+        self.order, self.firsts = order % per_batch, firsts % per_batch
+        self.cuts = np.searchsorted(firsts, range(0, len(rows) + per_batch, per_batch)).tolist()
+        self.per_batch = per_batch
+
+    def add(self, matrix: np.ndarray, b: int, updates: np.ndarray) -> None:
+        runs = slice(self.cuts[b], self.cuts[b + 1])
+        order = self.order[b * self.per_batch : (b + 1) * self.per_batch]
+        matrix[self.rows[runs]] += np.add.reduceat(updates[order], self.firsts[runs])
 
 
 def train(corpus: MonthlyCorpus, cfg: TrainConfig | None = None) -> EmbeddingModel:
@@ -188,7 +216,9 @@ def train(corpus: MonthlyCorpus, cfg: TrainConfig | None = None) -> EmbeddingMod
     at a time: a batch reads the vectors as they stood before it, draws
     cfg.negatives noise words per pair (dropping a draw equal to the pair's
     context), and adds its summed gradients at once. The learning rate falls
-    linearly per pair. The result is bit-identical for a given document
+    linearly per pair. The draws, rates and the order in which each batch sums
+    its gradients are made a block of BLOCK_PAIRS pairs at a time, the same
+    values as batch by batch. The result is bit-identical for a given document
     order and cfg.
 
     Raises EmptyVocabulary if no term survives cfg.min_count, and
@@ -214,19 +244,24 @@ def train(corpus: MonthlyCorpus, cfg: TrainConfig | None = None) -> EmbeddingMod
     n_pairs, total = len(centers), len(centers) * cfg.epochs
     labels = np.r_[1.0, np.zeros(cfg.negatives)]
     for epoch_start in range(0, total, n_pairs):
-        for lo in range(0, n_pairs, BATCH_PAIRS):
-            center, context = centers[lo : lo + BATCH_PAIRS], contexts[lo : lo + BATCH_PAIRS]
-            steps = epoch_start + lo + np.arange(len(center))
-            lr = cfg.lr_initial + (cfg.lr_final - cfg.lr_initial) * (steps / total)
+        for start in range(0, n_pairs, BLOCK_PAIRS):
+            block = slice(start, start + BLOCK_PAIRS)
+            center, context = centers[block], contexts[block]
+            steps = epoch_start + start + np.arange(len(center))
+            lrs = cfg.lr_initial + (cfg.lr_final - cfg.lr_initial) * (steps / total)
             draws = np.searchsorted(noise_cdf, rng.random((len(center), cfg.negatives)))
             targets = np.column_stack((context, np.minimum(draws, len(terms) - 1)))
-            center_vecs, out_vecs = syn0[center], syn1[targets]
-            dots = np.clip(np.einsum("bd,btd->bt", center_vecs, out_vecs), -60.0, 60.0)
-            g = lr[:, None] * (labels - 1.0 / (1.0 + np.exp(-dots)))
-            g[:, 1:][targets[:, 1:] == context[:, None]] = 0.0
-            _scatter_add(syn0, center, np.einsum("bt,btd->bd", g, out_vecs))
-            out_grads = np.einsum("bt,bd->btd", g, center_vecs).reshape(-1, cfg.dim)
-            _scatter_add(syn1, targets.ravel(), out_grads)
+            dropped = targets[:, 1:] == context[:, None]
+            plan0 = _ScatterPlan(center, BATCH_PAIRS)
+            plan1 = _ScatterPlan(targets.ravel(), BATCH_PAIRS * (1 + cfg.negatives))
+            for b, lo in enumerate(range(0, len(center), BATCH_PAIRS)):
+                batch = slice(lo, lo + BATCH_PAIRS)
+                center_vecs, out_vecs = syn0[center[batch]], syn1[targets[batch]]
+                dots = np.clip(np.einsum("bd,btd->bt", center_vecs, out_vecs), -60.0, 60.0)
+                g = lrs[batch, None] * (labels - 1.0 / (1.0 + np.exp(-dots)))
+                g[:, 1:][dropped[batch]] = 0.0
+                plan0.add(syn0, b, np.einsum("bt,btd->bd", g, out_vecs))
+                plan1.add(syn1, b, np.einsum("bt,bd->btd", g, center_vecs).reshape(-1, cfg.dim))
 
     return EmbeddingModel(terms, syn0, corpus.month_key)
 

@@ -161,6 +161,35 @@ class TestTrainCommand:
         assert "non-finite" in err
         assert list(tmp_path.iterdir()) == [corpus]
 
+    @pytest.mark.parametrize("flag, value, field", [("--seed", "-1", "rng_seed"),
+                                                    ("--epochs", "0", "epochs"),
+                                                    ("--window", "-2", "window")])
+    def test_config_refused_before_input_is_read(self, tmp_path, capsys, flag, value, field):
+        # the input does not exist: reading it would exit 2
+        code, out, err = run(
+            capsys, "train", "--input", str(tmp_path / "absent.tsv"),
+            "--output", str(tmp_path / "x.vec"), flag, value,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"eventsearch: error: {field} must be >=")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("message, shown", [("Unable to allocate 37.3 GiB", None),
+                                                ("", "out of memory")])
+    def test_out_of_memory_is_one_line_error(self, workspace, capsys, monkeypatch, message,
+                                             shown):
+        def huge_train(corpus, cfg):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "train", huge_train)
+        code, out, err = run(
+            capsys, "train", "--input", str(workspace / "corpus.tsv"), "--month", "2018-02",
+            "--output", str(workspace / "x.vec"),
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"eventsearch: error: {shown or message}"
+        assert not (workspace / "x.vec").exists()
+
     def test_multi_month_without_selector_fails(self, workspace, capsys):
         code, _, err = run(
             capsys, "train", "--input", str(workspace / "corpus.tsv"),

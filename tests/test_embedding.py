@@ -2,6 +2,7 @@
 
 import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -571,6 +572,105 @@ class TestPairs:
             assert len(train(corpus, cfg)) == sum(lengths)
 
 
+def reference_scatter_add(matrix, rows, updates):
+    """matrix[rows] += updates, summing repeated rows in a fixed order."""
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    firsts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+    matrix[rows[firsts]] += np.add.reduceat(updates[order], firsts)
+
+
+def reference_train(corpus, cfg):
+    """(terms, matrix) from a trainer that draws, ramps and sorts anew for every batch."""
+    counts = Counter(t for doc in corpus.documents for t in doc.tokens)
+    terms = sorted((t for t in counts if counts[t] >= cfg.min_count), key=lambda t: (-counts[t], t))
+    ids = {term: i for i, term in enumerate(terms)}
+    sentences = [[ids[t] for t in doc.tokens if t in ids] for doc in corpus.documents]
+    centers, contexts = _pairs(sentences, cfg.window)
+
+    noise_cdf = np.cumsum(negative_sampling_distribution([counts[t] for t in terms]))
+    rng = np.random.default_rng(cfg.rng_seed)
+    syn0 = (rng.random((len(terms), cfg.dim)) - 0.5) / cfg.dim
+    syn1 = np.zeros_like(syn0)
+
+    n_pairs, total = len(centers), len(centers) * cfg.epochs
+    labels = np.r_[1.0, np.zeros(cfg.negatives)]
+    for epoch_start in range(0, total, n_pairs):
+        for lo in range(0, n_pairs, BATCH_PAIRS):
+            center, context = centers[lo : lo + BATCH_PAIRS], contexts[lo : lo + BATCH_PAIRS]
+            steps = epoch_start + lo + np.arange(len(center))
+            lr = cfg.lr_initial + (cfg.lr_final - cfg.lr_initial) * (steps / total)
+            draws = np.searchsorted(noise_cdf, rng.random((len(center), cfg.negatives)))
+            targets = np.column_stack((context, np.minimum(draws, len(terms) - 1)))
+            center_vecs, out_vecs = syn0[center], syn1[targets]
+            dots = np.clip(np.einsum("bd,btd->bt", center_vecs, out_vecs), -60.0, 60.0)
+            g = lr[:, None] * (labels - 1.0 / (1.0 + np.exp(-dots)))
+            g[:, 1:][targets[:, 1:] == context[:, None]] = 0.0
+            reference_scatter_add(syn0, center, np.einsum("bt,btd->bd", g, out_vecs))
+            out_grads = np.einsum("bt,bd->btd", g, center_vecs).reshape(-1, cfg.dim)
+            reference_scatter_add(syn1, targets.ravel(), out_grads)
+    return terms, syn0
+
+
+def assert_trains_like_reference(corpus, cfg):
+    model = train(corpus, cfg)
+    terms, matrix = reference_train(corpus, cfg)
+    assert model.terms == terms
+    assert model._matrix.tobytes() == matrix.tobytes()
+
+
+def pair_corpus(n_docs):
+    """n_docs two-token documents over 13 terms: 2 * n_docs pairs at window 1."""
+    return corpus_from_token_lists([[f"a{i % 7}", f"b{i % 6}"] for i in range(n_docs)])
+
+
+class TestTrainMatchesPerBatchReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=8), min_size=1, max_size=40),
+        st.integers(1, 8),
+        st.integers(1, 4),
+        st.integers(1, 6),
+        st.integers(1, 3),
+        st.integers(1, 2),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical(self, token_lists, dim, window, negatives, epochs, min_count, seed):
+        corpus = corpus_from_token_lists(token_lists)
+        cfg = TrainConfig(dim=dim, window=window, negatives=negatives, epochs=epochs,
+                          min_count=min_count, rng_seed=seed)
+        try:
+            assert_trains_like_reference(corpus, cfg)
+        except (EmptyVocabulary, NoTrainingPairs):
+            assume(False)  # TestPairs covers when these are raised
+
+    # fewer pairs than one batch; one block exactly; more than two blocks, the last partial
+    @pytest.mark.parametrize("n_docs", [20, 2048, 4500])
+    def test_bit_identical_across_block_sizes(self, n_docs):
+        cfg = TrainConfig(dim=6, window=1, negatives=5, epochs=2, min_count=1, rng_seed=7)
+        corpus = pair_corpus(n_docs)
+        assert len(_pairs([[0, 1]] * n_docs, 1)[0]) == 2 * n_docs
+        assert_trains_like_reference(corpus, cfg)
+
+    @pytest.mark.parametrize("n_docs, epochs", [(20, 1), (2048, 3), (2049, 2), (4500, 2)])
+    def test_draws_once_per_block_of_4096_pairs(self, monkeypatch, n_docs, epochs):
+        draws = []
+        default_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def random(self, size):
+                draws.append(size)
+                return self.rng.random(size)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        train(pair_corpus(n_docs), TrainConfig(dim=4, window=1, epochs=epochs, min_count=1))
+        # one draw for the initial vectors, then one per block of 64 batches in each epoch
+        assert len(draws) == 1 + epochs * math.ceil(2 * n_docs / 4096)
+
+
 class TestTrain:
     def test_two_word_vocabulary(self):
         corpus = corpus_from_token_lists([["x", "y"]])
@@ -685,8 +785,27 @@ class TestTrainConfig:
             {"lr_final": 0.0},
             {"lr_final": 0.5, "lr_initial": 0.1},
             {"lr_initial": math.inf},
+            {"rng_seed": -1},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("dim", 2.5), ("window", 1.5), ("negatives", 2.0), ("epochs", 2.5), ("min_count", 1.5),
+         ("rng_seed", 1.0), ("rng_seed", "3"), ("rng_seed", -1)],
+    )
+    def test_non_integer_or_negative_field_named(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+
+    def test_numpy_integers_accepted_as_python_ints(self):
+        # 1200 pairs: as a uint8, epochs would overflow the step count
+        corpus = cooccurrence_corpus(n_docs=200)
+        as_numpy = train(corpus, TrainConfig(dim=np.int64(4), window=np.int32(2),
+                                             epochs=np.uint8(1), rng_seed=np.uint32(3)))
+        as_python = train(corpus, TrainConfig(dim=4, window=2, epochs=1, rng_seed=3))
+        assert as_numpy._matrix.tobytes() == as_python._matrix.tobytes()
+        assert TrainConfig(epochs=np.uint8(3)) == TrainConfig(epochs=3)

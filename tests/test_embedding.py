@@ -785,7 +785,6 @@ class TestTrainConfig:
             {"lr_final": 0.0},
             {"lr_final": 0.5, "lr_initial": 0.1},
             {"lr_initial": math.inf},
-            {"rng_seed": -1},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -802,7 +801,7 @@ class TestTrainConfig:
             TrainConfig(**{name: value})
 
     def test_numpy_integers_accepted_as_python_ints(self):
-        # 1200 pairs: as a uint8, epochs would overflow the step count
+        # 1600 pairs: with a uint8 epochs, n_pairs * epochs would overflow
         corpus = cooccurrence_corpus(n_docs=200)
         as_numpy = train(corpus, TrainConfig(dim=np.int64(4), window=np.int32(2),
                                              epochs=np.uint8(1), rng_seed=np.uint32(3)))

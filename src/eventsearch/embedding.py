@@ -42,6 +42,13 @@ BLOCK_PAIRS = 64 * BATCH_PAIRS
 BLOCK_ROWS = 512
 
 
+def _integer(name: str, value) -> int:
+    try:  # a Python int, which numpy's fixed-width arithmetic cannot wrap
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Skip-gram hyperparameters, sized for corpora of short titles."""
@@ -58,12 +65,7 @@ class TrainConfig:
     def __post_init__(self):
         least = dict(dim=1, window=1, negatives=1, epochs=1, min_count=1, rng_seed=0)
         for name, bound in least.items():
-            value = getattr(self, name)
-            try:  # held as a Python int, so numpy's fixed-width arithmetic cannot wrap
-                value = operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, value := _integer(name, getattr(self, name)))
             if value < bound:
                 raise ValueError(f"{name} must be >= {bound}, got {value}")
         if not 0 < self.lr_final <= self.lr_initial:
@@ -122,50 +124,59 @@ def _norms(matrix: np.ndarray) -> np.ndarray:
         return np.linalg.norm(matrix, axis=1)
 
 
+def _cosines(model: EmbeddingModel, row: int) -> np.ndarray:
+    """The one cosine kernel: each row's cosine with the given row in [-1, 1]; nan if zero."""
+    with np.errstate(invalid="ignore"):  # einsum, unlike BLAS, is symmetric in the two rows
+        scores = np.einsum("ij,j->i", model._matrix, model._matrix[row])
+        scores /= model._norms * model._norms[row]
+    return np.clip(scores, -1.0, 1.0, out=scores)
+
+
 def sim(model: EmbeddingModel, i: str, j: str) -> float:
-    """Cosine similarity between two vocabulary terms; sim(i, i) is 1.0."""
-    if i not in model:
-        raise OutOfVocabulary(i)
-    if j not in model:
-        raise OutOfVocabulary(j)
+    """Cosine similarity between two vocabulary terms; sim(i, i) is 1.0. It is entry j of
+    i's scan, so it equals j's score in most_similar(i) and sim(j, i) bit for bit."""
+    for term in (i, j):
+        if term not in model:
+            raise OutOfVocabulary(term)
     if i == j:
         return 1.0
     a, b = model._rows[i], model._rows[j]
     if model._norms[a] == 0.0 or model._norms[b] == 0.0:
         raise ZeroVector("cosine similarity undefined for zero-magnitude vector")
-    value = float(model._matrix[a] @ model._matrix[b] / (model._norms[a] * model._norms[b]))
-    return max(-1.0, min(1.0, value))
+    return float(_cosines(model, a)[b])
 
 
 def most_similar(
     model: EmbeddingModel, term: str, k: int, min_sim: float
 ) -> list[tuple[str, float]]:
-    """Up to k nearest terms with similarity strictly above min_sim.
+    """Up to k nearest terms with similarity strictly above min_sim, from one cosine scan.
 
-    Sorted by score descending, ties broken lexicographically; never
-    contains the query term itself. A zero vector has no direction: it is
-    nobody's neighbor, and as the query's vector it raises ZeroVector.
+    Sorted by score descending, ties broken lexicographically; never contains the query
+    term itself. Each score is the pair's sim value, bit for bit. A zero vector has no
+    direction: it is nobody's neighbor, and as the query's vector it raises ZeroVector.
     """
-    if k < 1:
+    if _integer("k", k) < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if math.isnan(min_sim):
         raise ValueError("min_sim must be a number, got nan")
     if term not in model:
         raise OutOfVocabulary(term)
+    return _neighbors(model, term, k, min_sim)[0]
+
+
+def _neighbors(model: EmbeddingModel, term: str, k: int, min_sim: float):
+    """most_similar without its argument checks, and the scan it chose from."""
     row = model._rows[term]
     if model._norms[row] == 0.0:
         raise ZeroVector(f"{term!r} has a zero vector")
-    # a zero row scores 0/0 = nan, which no threshold passes
-    with np.errstate(invalid="ignore"):
-        scores = model._matrix @ model._matrix[row] / (model._norms * model._norms[row])
-    np.clip(scores, -1.0, 1.0, out=scores)
+    scores = _cosines(model, row)
     scores[row] = np.nan
     hits = np.flatnonzero(scores > min_sim)
     if len(hits) > k:  # keep the k best and every score tied with the k-th
         hits = hits[scores[hits] >= np.partition(scores[hits], -k)[-k]]
     scored = [(model._terms[i], float(scores[i])) for i in hits]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored[:k]
+    return scored[:k], scores
 
 
 def negative_sampling_distribution(counts: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .corpus import format_month, tokenize
-from .embedding import EmbeddingModel, most_similar, sim
+from .embedding import EmbeddingModel, _integer, _neighbors
 from .errors import AllStopwords, EmptySeed, NotInQuery
 
 log = logging.getLogger(__name__)
@@ -99,7 +99,7 @@ def seed_only_query(
     Seed entries are tokenized and deduplicated, keeping first-seen order. k and min_sim
     take no part in it, but they must be valid for expand_query.
     """
-    if not 1 <= k <= 4:
+    if not 1 <= _integer("k", k) <= 4:
         raise ValueError(f"k must be in 1..4, got {k}")
     if not 0.0 < min_sim < 1.0:
         raise ValueError(f"min_sim must be in (0, 1), got {min_sim}")
@@ -124,10 +124,10 @@ def expand_query(
 ) -> ExpandedQuery:
     """Expand seed keywords with embedding neighbors.
 
-    Every non-stop seed term found in the model vocabulary proposes up to k candidates
-    with similarity strictly above min_sim; candidates that are stop words or seed terms
-    are dropped; each surviving candidate j is weighted by max(sim(j, m)) over the non-stop
-    seed terms m. expansion_terms holds them by weight descending, ties by term.
+    Each non-stop seed term in the model vocabulary proposes, from one cosine scan, up to k
+    candidates with similarity strictly above min_sim; stop words and seed terms are dropped.
+    A candidate j weighs max(sim(j, m)) over the non-stop seed terms m, read from their scans,
+    so at least the score that proposed it. expansion_terms is by weight descending, then term.
 
     Raises EmptySeed for an empty seed and AllStopwords when every seed
     term is a stop word. Seed terms missing from the vocabulary contribute
@@ -144,13 +144,10 @@ def expand_query(
     for missing in (t for t in content_terms if t not in model):
         log.warning("seed term %r not in %svocabulary, skipping expansion for it", missing, month)
 
-    candidates: set[str] = set()
-    for term in in_vocab:
-        for neighbor, _ in most_similar(model, term, k, min_sim):
-            if neighbor not in stopwords and neighbor not in query.seed_terms:
-                candidates.add(neighbor)
-
-    weighted = {j: max(sim(model, j, m) for m in in_vocab) for j in candidates}
+    scans = [_neighbors(model, term, k, min_sim) for term in in_vocab]  # the only cosines
+    candidates = {n for neighbors, _ in scans for n, _ in neighbors
+                  if n not in stopwords and n not in query.seed_terms}
+    weighted = {j: float(max(scan[model._rows[j]] for _, scan in scans)) for j in candidates}
     ordered = dict(sorted(weighted.items(), key=lambda item: (-item[1], item[0])))
     return ExpandedQuery(query.seed_terms, ordered)
 

@@ -117,7 +117,7 @@ class TestSim:
         terms = list(vectors)
         for i in terms:
             for j in terms:
-                assert abs(sim(model, i, j) - sim(model, j, i)) <= 1e-12
+                assert sim(model, i, j) == sim(model, j, i)
 
     def test_matches_cosine_of_the_rows(self):
         rng = np.random.default_rng(10)
@@ -135,6 +135,19 @@ class TestSim:
         for i, j in (("z", "a"), ("a", "z")):
             with pytest.raises(ZeroVector):
                 sim(model, i, j)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 40), st.integers(-3, 3))
+    @example(seed=1, n_terms=6, dim=24, scale=0)  # a pair BLAS scored two ways
+    def test_one_value_per_pair(self, seed, n_terms, dim, scale):
+        """sim(a, b), sim(b, a) and b's score in a's most_similar scan are one number."""
+        matrix = np.random.default_rng(seed).standard_normal((n_terms, dim)) * 10.0**scale
+        model = EmbeddingModel([f"t{i}" for i in range(n_terms)], matrix)
+        for a in model.terms:
+            scan = dict(most_similar(model, a, k=n_terms, min_sim=-math.inf))
+            assert len(scan) == n_terms - 1
+            for b, score in scan.items():
+                assert sim(model, a, b) == sim(model, b, a) == score
 
 
 FIXTURE = {"q": (1.0, 0.0), "a": (1.0, 0.0), "b": (0.8, 0.6), "c": (0.0, 1.0)}
@@ -197,8 +210,9 @@ class TestMostSimilar:
 
     def test_k_must_be_positive(self):
         model = model_from(FIXTURE)
-        with pytest.raises(ValueError):
-            most_similar(model, "q", k=0, min_sim=0.6)
+        for k in (0, 1.5):
+            with pytest.raises(ValueError, match="k must be"):
+                most_similar(model, "q", k=k, min_sim=0.6)
 
     def test_nan_min_sim_rejected(self):
         model = model_from(FIXTURE)

@@ -8,8 +8,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from eventsearch.embedding import EmbeddingModel
+from eventsearch import embedding
+from eventsearch.embedding import EmbeddingModel, sim
 from eventsearch.errors import AllStopwords, EmptySeed, NotInQuery, ZeroVector
 from eventsearch.expansion import (
     ExpandedQuery,
@@ -103,10 +106,10 @@ class TestExpandQuery:
         query = expand_query(["Jewelry", "JEWELRY day"], model, NO_STOPS)
         assert query.seed_terms == ("jewelry", "day")
 
-    @pytest.mark.parametrize("k", [0, 5])
+    @pytest.mark.parametrize("k", [0, 5, 2.0])
     def test_k_out_of_range(self, k):
         model = model_from(JEWELRY_FIXTURE)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k must be"):
             expand_query(["jewelry"], model, NO_STOPS, k=k)
 
     @pytest.mark.parametrize("min_sim", [0.0, 1.0, -0.2])
@@ -202,7 +205,47 @@ class TestAgainstOracle:
                 assert len(candidates) <= k
 
 
+def numbered_model(matrix):
+    return EmbeddingModel([f"t{i}" for i in range(len(matrix))], matrix)
+
+
 class TestInvariants:
+    def test_weight_above_min_sim_on_a_cosine(self):
+        """A 6 x 24 model whose t0-t5 cosine BLAS once gave two values that differ in the
+        last bits; min_sim set to the lower one came back as t5's weight."""
+        model = numbered_model(np.random.default_rng(1).standard_normal((6, 24)))
+        min_sim = 0.012356812577105001
+        query = expand_query(["t0"], model, NO_STOPS, k=4, min_sim=min_sim)
+        assert query.expansion_terms
+        assert all(weight > min_sim for weight in query.expansion_terms.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 12), st.integers(1, 40), st.data())
+    def test_weights_above_min_sim_set_to_a_cosine(self, seed, n_terms, dim, data):
+        model = numbered_model(np.random.default_rng(seed).standard_normal((n_terms, dim)))
+        terms = model.terms
+        seeds = data.draw(st.lists(st.sampled_from(terms), min_size=1, max_size=2, unique=True))
+        other = data.draw(st.sampled_from([t for t in terms if t != seeds[0]]))
+        min_sim = sim(model, seeds[0], other)
+        assume(0.0 < min_sim < 1.0)
+        query = expand_query(seeds, model, NO_STOPS, k=4, min_sim=min_sim)
+        assert all(weight > min_sim for weight in query.expansion_terms.values())
+
+    def test_one_scan_per_content_seed(self, monkeypatch):
+        """expand_query takes every cosine from one scan per in-vocabulary content seed."""
+        scanned = []
+        kernel = embedding._cosines
+
+        def counting(model, row):
+            scanned.append(row)
+            return kernel(model, row)
+
+        monkeypatch.setattr(embedding, "_cosines", counting)
+        model = numbered_model(np.random.default_rng(5).standard_normal((30, 3)))
+        query = expand_query(["t3 t7 zzz t9 t4"], model, StopwordList(["t9"]), k=4, min_sim=0.2)
+        assert len(query.expansion_terms) > 4  # candidates from more than one seed
+        assert scanned == [3, 7, 4]
+
     def _random_setup(self, rng):
         vectors = random_model(rng, n_terms=16)
         model = model_from(vectors)
@@ -259,7 +302,9 @@ class TestSeedOnlyQuery:
         with pytest.raises(EmptySeed):
             seed_only_query([""])
 
-    @pytest.mark.parametrize("k, min_sim", [(0, 0.6), (5, 0.6), (4, 0.0), (4, 1.0), (4, math.nan)])
+    @pytest.mark.parametrize(
+        "k, min_sim", [(0, 0.6), (5, 0.6), (2.0, 0.6), (4, 0.0), (4, 1.0), (4, math.nan)]
+    )
     def test_same_parameter_checks_as_expansion(self, k, min_sim):
         with pytest.raises(ValueError):
             seed_only_query(["valentines"], k=k, min_sim=min_sim)

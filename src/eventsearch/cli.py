@@ -21,7 +21,7 @@ from .expansion import (DEFAULT_K, DEFAULT_MIN_SIM, StopwordList, expand_query, 
                         seed_only_query)
 from .index import build_index, load_index, save_index
 from .ranking import Bm25, TfIdf, format_results, retrieve
-from .textfile import writer
+from .textfile import reader, writer
 
 log = logging.getLogger(__name__)
 
@@ -50,71 +50,8 @@ def _add_scorer_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bm25-b", type=float, default=Bm25.b)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="eventsearch", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("ingest", help="split a corpus file into per-month corpus files")
-    p.add_argument("--input", required=True, help="TSV corpus: doc_id, date, category, title")
-    p.add_argument("--out-dir", required=True, help="directory for YYYY-MM.tsv partitions")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("train", help="train embeddings for one month partition")
-    p.add_argument("--input", required=True, help="TSV corpus file")
-    p.add_argument("--month", help="YYYY-MM selector when the corpus spans several months")
-    p.add_argument("--output", required=True, help="vectors file (word2vec text format)")
-    p.add_argument("--dim", type=int, default=TrainConfig.dim)
-    p.add_argument("--window", type=int, default=TrainConfig.window)
-    p.add_argument("--negatives", type=int, default=TrainConfig.negatives)
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--lr", type=float, default=TrainConfig.lr_initial, dest="lr_initial",
-                   metavar="LR", help="initial learning rate")
-    p.add_argument("--lr-final", type=float, default=TrainConfig.lr_final)
-    p.add_argument("--min-count", type=int, default=TrainConfig.min_count)
-    p.add_argument("--seed", type=int, default=TrainConfig.rng_seed, dest="rng_seed",
-                   metavar="SEED", help="RNG seed for reproducible training")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("neighbors", help="list nearest vocabulary terms for a word")
-    p.add_argument("--model", required=True, help="vectors file")
-    p.add_argument("--word", required=True)
-    p.add_argument("--k", type=int, default=DEFAULT_K)
-    p.add_argument("--min-sim", type=float, default=DEFAULT_MIN_SIM)
-    p.set_defaults(func=cmd_neighbors)
-
-    p = sub.add_parser("expand", help="expand seed keywords into a weighted query")
-    p.add_argument("--model", required=True, help="vectors file")
-    p.add_argument("--seed", required=True, help="seed keywords, e.g. 'valentines day jewelry'")
-    _add_expansion_flags(p)
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("index", help="build an inverted index for one month partition")
-    p.add_argument("--input", required=True, help="TSV corpus file")
-    p.add_argument("--month", help="YYYY-MM selector when the corpus spans several months")
-    p.add_argument("--output", required=True, help="index file")
-    p.set_defaults(func=cmd_index)
-
-    p = sub.add_parser("search", help="rank indexed documents against a (expanded) query")
-    p.add_argument("--index", required=True, help="index file")
-    p.add_argument("--seed", required=True, help="seed keywords")
-    p.add_argument("--model", help="vectors file; omit to search with the seed terms only")
-    p.add_argument("--limit", type=int, help="truncate the result list")
-    _add_expansion_flags(p)
-    _add_scorer_flags(p)
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("eval", help="report recall increase of expansion vs seed-only")
-    p.add_argument("--index", required=True, help="index file")
-    p.add_argument("--model", required=True, help="vectors file")
-    p.add_argument("--seed", required=True, help="seed keywords")
-    _add_expansion_flags(p)
-    _add_scorer_flags(p)
-    p.set_defaults(func=cmd_eval)
-    return parser
-
-
 def _read_documents(path: str):
-    with open(path, encoding="utf-8") as handle:
+    with reader(path) as handle:
         result = ingest(handle)
     for lineno, message in result.errors:
         log.warning("%s:%d: skipped: %s", path, lineno, message)
@@ -148,6 +85,11 @@ def _scorer(args):
     return TfIdf()
 
 
+def _ingest_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", required=True, help="TSV corpus: doc_id, date, category, title")
+    p.add_argument("--out-dir", required=True, help="directory for YYYY-MM.tsv partitions")
+
+
 def cmd_ingest(args) -> int:
     documents = _read_documents(args.input)
     out_dir = Path(args.out_dir)
@@ -163,6 +105,22 @@ def cmd_ingest(args) -> int:
     return 0
 
 
+def _train_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", required=True, help="TSV corpus file")
+    p.add_argument("--month", help="YYYY-MM selector when the corpus spans several months")
+    p.add_argument("--output", required=True, help="vectors file (word2vec text format)")
+    p.add_argument("--dim", type=int, default=TrainConfig.dim)
+    p.add_argument("--window", type=int, default=TrainConfig.window)
+    p.add_argument("--negatives", type=int, default=TrainConfig.negatives)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr_initial, dest="lr_initial",
+                   metavar="LR", help="initial learning rate")
+    p.add_argument("--lr-final", type=float, default=TrainConfig.lr_final)
+    p.add_argument("--min-count", type=int, default=TrainConfig.min_count)
+    p.add_argument("--seed", type=int, default=TrainConfig.rng_seed, dest="rng_seed",
+                   metavar="SEED", help="RNG seed for reproducible training")
+
+
 def cmd_train(args) -> int:
     cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     documents = _read_documents(args.input)
@@ -176,6 +134,13 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _neighbors_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--model", required=True, help="vectors file")
+    p.add_argument("--word", required=True)
+    p.add_argument("--k", type=int, default=DEFAULT_K)
+    p.add_argument("--min-sim", type=float, default=DEFAULT_MIN_SIM)
+
+
 def cmd_neighbors(args) -> int:
     model = load_vectors(args.model)
     for term, score in most_similar(model, args.word, args.k, args.min_sim):
@@ -183,11 +148,23 @@ def cmd_neighbors(args) -> int:
     return 0
 
 
+def _expand_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--model", required=True, help="vectors file")
+    p.add_argument("--seed", required=True, help="seed keywords, e.g. 'valentines day jewelry'")
+    _add_expansion_flags(p)
+
+
 def cmd_expand(args) -> int:
     model = load_vectors(args.model)
     query = expand_query([args.seed], model, _stopwords(args), k=args.k, min_sim=args.min_sim)
     print(format_expansion(query))
     return 0
+
+
+def _index_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", required=True, help="TSV corpus file")
+    p.add_argument("--month", help="YYYY-MM selector when the corpus spans several months")
+    p.add_argument("--output", required=True, help="index file")
 
 
 def cmd_index(args) -> int:
@@ -202,6 +179,15 @@ def cmd_index(args) -> int:
     return 0
 
 
+def _search_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--index", required=True, help="index file")
+    p.add_argument("--seed", required=True, help="seed keywords")
+    p.add_argument("--model", help="vectors file; omit to search with the seed terms only")
+    p.add_argument("--limit", type=int, help="truncate the result list")
+    _add_expansion_flags(p)
+    _add_scorer_flags(p)
+
+
 def cmd_search(args) -> int:
     model = load_vectors(args.model) if args.model else None
     stopwords = _stopwords(args)  # read without a model too, so a bad file fails every search
@@ -214,6 +200,14 @@ def cmd_search(args) -> int:
     if results:
         print(format_results(results))
     return 0
+
+
+def _eval_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--index", required=True, help="index file")
+    p.add_argument("--model", required=True, help="vectors file")
+    p.add_argument("--seed", required=True, help="seed keywords")
+    _add_expansion_flags(p)
+    _add_scorer_flags(p)
 
 
 def cmd_eval(args) -> int:
@@ -233,10 +227,36 @@ def cmd_eval(args) -> int:
     return 0
 
 
+COMMANDS = {
+    "ingest": ("split a corpus file into per-month corpus files", _ingest_flags, cmd_ingest),
+    "train": ("train embeddings for one month partition", _train_flags, cmd_train),
+    "neighbors": ("list nearest vocabulary terms for a word", _neighbors_flags, cmd_neighbors),
+    "expand": ("expand seed keywords into a weighted query", _expand_flags, cmd_expand),
+    "index": ("build an inverted index for one month partition", _index_flags, cmd_index),
+    "search": ("rank indexed documents against a (expanded) query", _search_flags, cmd_search),
+    "eval": ("report recall increase of expansion vs seed-only", _eval_flags, cmd_eval),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with only command's subparser if COMMANDS holds command, and with
+    all of them otherwise (no command, an option such as --help, an unknown name). An argv
+    that starts with command parses to the same result either way."""
+    parser = _Parser(prog="eventsearch", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name in [command] if command in COMMANDS else COMMANDS:
+        help_text, add_flags, func = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_flags(p)
+        p.set_defaults(func=func)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one call, argv or else sys.argv[1:], building only its command's subparser."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     # log to this call's stderr, then hand the package logger back as it was

@@ -18,6 +18,7 @@ from typing import Iterable
 from .corpus import format_month, tokenize
 from .embedding import EmbeddingModel, _integer, _neighbors
 from .errors import AllStopwords, EmptySeed, NotInQuery
+from .textfile import reader
 
 log = logging.getLogger(__name__)
 
@@ -44,7 +45,7 @@ class StopwordList:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "StopwordList":
-        with open(path, encoding="utf-8") as handle:
+        with reader(path) as handle:
             return cls._parse(handle)
 
     @classmethod

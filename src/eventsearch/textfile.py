@@ -1,6 +1,6 @@
-"""Reading and writing the package's text artifacts: index, vector and partition files.
+"""Reading the package's UTF-8 text files, and writing its index, vector and partition files.
 
-Both are UTF-8 with a "\\n" after every line. A path is written atomically:
+Written files end every line with "\\n". A path is written atomically:
 readers see the old file or the complete new one, never a partial write.
 """
 
@@ -19,6 +19,23 @@ PathOrFile = Union[str, Path, IO[str]]
 FIELD = re.compile(r"\S+")
 
 
+@contextmanager
+def reader(path: str | Path, newline: str | None = None) -> Iterator[IO[str]]:
+    """A handle reading the UTF-8 file at path, as open() with newline gives it. A byte
+    that is not UTF-8 raises FormatError naming path and the first such byte's line."""
+    with open(path, encoding="utf-8", newline=newline) as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError:
+            data = Path(path).read_bytes()  # the decoder saw one chunk; find the byte's line
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                message = f"{path} is not UTF-8 (byte {data[exc.start]:#04x})"
+                raise FormatError(message, line=data.count(b"\n", 0, exc.start) + 1) from None
+            raise  # the file changed since the failed read: keep that read's error
+
+
 def read_lines(source: PathOrFile, kind: str) -> list[str]:
     """The lines of a complete artifact, without their newlines.
 
@@ -26,7 +43,7 @@ def read_lines(source: PathOrFile, kind: str) -> list[str]:
     newline: that file was cut in the middle of a line.
     """
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8", newline="\n") as handle:
+        with reader(source, newline="\n") as handle:
             text = handle.read()
     else:
         text = source.read()

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from eventsearch import cli
 from eventsearch.corpus import format_month, ingest, segment_by_month
 from eventsearch.embedding import EmbeddingModel, TrainConfig, load_vectors, sim, train
 from eventsearch.evaluation import recall_increase
@@ -28,6 +29,25 @@ BRUTE = runpy.run_path(str(PERFBENCH / "brute.py"))
 def test_traced_target_exists(layer, func):
     module = importlib.import_module(f"eventsearch.{layer}")
     assert callable(getattr(module, func, None)), f"eventsearch.{layer}.{func} is not callable"
+
+
+@pytest.mark.parametrize("argv", [["ingest", "--out-dir", "{tmp}"],
+                                  ["train", "--output", "{tmp}/o.vec", "--min-count", "1"],
+                                  ["index", "--output", "{tmp}/o.idx"]])
+def test_traced_ingest_names_its_input(tmp_path, monkeypatch, capsys, argv):
+    """The traced run counts the lines a CLI call ingests from the file its handle names."""
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("d1\t2018-02-01\tc\tt u\nd2\t2018-02-02\tc\tt u\n", encoding="utf-8")
+    named = []
+
+    def traced_ingest(lines):
+        named.append(TRACING["ATTRS"]["corpus.ingest"]({"lines": lines}))
+        return ingest(lines)
+
+    monkeypatch.setattr(cli, "ingest", traced_ingest)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert cli.main([*argv, "--input", str(corpus)]) == 0
+    assert named == [{"path": str(corpus)}]
 
 
 @pytest.fixture(scope="module")

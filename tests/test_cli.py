@@ -1,5 +1,6 @@
 """CLI subcommands as thin adapters over the library, plus exit codes."""
 
+import argparse
 import contextlib
 import io
 import logging
@@ -71,6 +72,17 @@ class TestIngestCommand:
             result = ingest(handle)
         assert [d.doc_id for d in result.documents] == ["v1", "v2", "v3", "v4"]
         assert len(result.errors) == 0
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_any_line_ending_reads_alike(self, workspace, capsys, newline):
+        base = run(capsys, "ingest", "--input", str(workspace / "corpus.tsv"),
+                   "--out-dir", str(workspace / "lf"))
+        other = workspace / "other.tsv"
+        other.write_bytes(CORPUS.replace("\n", newline).encode("utf-8"))
+        code, out, err = run(capsys, "ingest", "--input", str(other),
+                             "--out-dir", str(workspace / "lf"))
+        assert (code, out, err.replace(str(other), "")) == (
+            base[0], base[1], base[2].replace(str(workspace / "corpus.tsv"), ""))
 
     def test_failed_write_keeps_old_partition(self, workspace, capsys, monkeypatch):
         out_dir = workspace / "months"
@@ -404,6 +416,36 @@ class TestExitCodes:
         code, _, err = run(capsys, "neighbors", "--model", str(bad), "--word", "x")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["ingest", "--input", "{bad}", "--out-dir", "{tmp}"], "tsv"),
+            (["train", "--input", "{bad}", "--output", "{tmp}/o.vec"], "tsv"),
+            (["index", "--input", "{bad}", "--output", "{tmp}/o.idx"], "tsv"),
+            (["neighbors", "--model", "{bad}", "--word", "valentine"], "vec"),
+            (["search", "--index", "{bad}", "--seed", "valentine"], "idx"),
+            (["search", "--index", "{idx}", "--seed", "valentine", "--stopwords", "{bad}"],
+             "stop"),
+            (["expand", "--model", "{vec}", "--seed", "valentine", "--stopwords", "{bad}"],
+             "stop"),
+        ],
+    )
+    def test_file_not_utf8_is_data_error(self, workspace, capsys, argv, bad):
+        idx = workspace / "feb.idx"
+        run(capsys, "index", "--input", str(workspace / "corpus.tsv"), "--month", "2018-02",
+            "--output", str(idx))
+        good = {"tsv": CORPUS, "vec": VECTORS, "idx": idx.read_text(encoding="utf-8"),
+                "stop": "the\nof\n"}[bad]
+        lines = good.encode("utf-8").split(b"\n")
+        lines[1] = lines[1][:3] + b"\xff" + lines[1][3:]  # a byte no UTF-8 text holds, line 2
+        path = workspace / f"bad.{bad}"
+        path.write_bytes(b"\n".join(lines))
+        code, out, err = run(capsys, *[arg.format(bad=path, tmp=workspace / "out", idx=idx,
+                                                  vec=workspace / "feb.vec") for arg in argv])
+        assert (code, out) == (2, "")
+        assert err == f"eventsearch: error: line 2: {path} is not UTF-8 (byte 0xff)\n"
+        assert not (workspace / "out").exists()
+
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
@@ -416,3 +458,73 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert "jewellery\t0.800000" in proc.stdout
+
+
+COMMAND_ARGV = {
+    "ingest": ["--input", "c.tsv", "--out-dir", "months"],
+    "train": ["--input", "c.tsv", "--output", "m.vec", "--dim", "3", "--lr", "0.5"],
+    "neighbors": ["--model", "m.vec", "--word", "w", "--k", "2"],
+    "expand": ["--model", "m.vec", "--seed", "a b", "--stopwords", "s.txt"],
+    "index": ["--input", "c.tsv", "--month", "2018-02", "--output", "m.idx"],
+    "search": ["--index", "m.idx", "--seed", "a", "--scorer", "bm25", "--limit", "3"],
+    "eval": ["--index", "m.idx", "--model", "m.vec", "--seed", "a", "--threshold", "0.5"],
+}
+
+
+def parse(parser, argv):
+    """(exit code, stdout, stderr, Namespace or None) of parser.parse_args(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return None, out.getvalue(), err.getvalue(), vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue(), None
+
+
+class TestParserParity:
+    """A call builds only its own subcommand's parser, and parses as the full one does."""
+
+    @pytest.mark.parametrize("name", sorted(COMMAND_ARGV))
+    @pytest.mark.parametrize("kind", ["help", "missing flag", "unknown flag", "valid"])
+    def test_one_subparser_parses_as_all(self, name, kind):
+        argv = {"help": [name, "--help"], "missing flag": [name],
+                "unknown flag": [name, *COMMAND_ARGV[name], "--nope"],
+                "valid": [name, *COMMAND_ARGV[name]]}[kind]
+        alone = parse(cli.build_parser(name), argv)
+        assert alone == parse(cli.build_parser(), argv)
+        assert alone[0] == {"help": 0, "valid": None}.get(kind, 1)
+        if kind == "valid":
+            assert alone[3]["command"] == name and alone[3]["func"] is cli.COMMANDS[name][2]
+
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), ([], 1), (["frobnicate"], 1)])
+    def test_top_level_call_parses_with_every_command(self, capsys, argv, code):
+        full = parse(cli.build_parser(), argv)
+        assert run(capsys, *argv) == (code, *full[1:3])
+        assert full[0] == code
+        if argv:  # --help lists the commands, and an unknown one is told the choices
+            assert all(name in full[1] + full[2] for name in cli.COMMANDS)
+
+    def test_argv_defaults_to_sys_argv(self, workspace, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["eventsearch", "neighbors", "--model",
+                                          str(workspace / "feb.vec"), "--word", "valentine"])
+        assert main() == 0
+        assert capsys.readouterr().out == "jewellery\t0.800000\n"
+
+    @pytest.mark.parametrize("argv, built", [
+        (["neighbors", "--model", "{vec}", "--word", "valentine"], 1),
+        (["neighbors", "--help"], 1),
+        (["--help"], 7),
+        (["frobnicate"], 7),
+    ])
+    def test_call_builds_only_its_command(self, workspace, capsys, monkeypatch, argv, built):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        run(capsys, *[arg.format(vec=workspace / "feb.vec") for arg in argv])
+        assert len(names) == built
+        assert names == ([argv[0]] if built == 1 else list(cli.COMMANDS))

@@ -324,6 +324,13 @@ class TestVectorFileFormat:
         with pytest.raises(FormatError):
             load_vectors(io.StringIO(""))
 
+    def test_file_not_utf8(self, tmp_path):
+        path = tmp_path / "m.vec"
+        path.write_bytes(b"2 1\na 1.0\nb\xe9 2.0\n")
+        with pytest.raises(FormatError, match="is not UTF-8 \\(byte 0xe9\\)") as excinfo:
+            load_vectors(path)
+        assert excinfo.value.line == 3
+
     @pytest.mark.parametrize(
         "text, line",
         [
@@ -664,6 +671,23 @@ class TestTrainMatchesPerBatchReference:
         cfg = TrainConfig(dim=6, window=1, negatives=5, epochs=2, min_count=1, rng_seed=7)
         corpus = pair_corpus(n_docs)
         assert len(_pairs([[0, 1]] * n_docs, 1)[0]) == 2 * n_docs
+        assert_trains_like_reference(corpus, cfg)
+
+    def test_bit_identical_with_keys_wider_than_16_bits(self, monkeypatch):
+        # 4096 terms in one full block: the last batch's (batch, row) keys pass 63 * 4096
+        corpus = corpus_from_token_lists([[f"a{i}", f"b{i}"] for i in range(2048)])
+        cfg = TrainConfig(dim=4, window=1, negatives=2, epochs=2, min_count=1, rng_seed=3)
+        key_types = []
+        argsort = np.argsort
+
+        def recording(a, *args, **kwargs):
+            key_types.append(a.dtype)
+            return argsort(a, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "argsort", recording)
+            train(corpus, cfg)
+        assert len(key_types) == 4 and all(t.itemsize > 2 for t in key_types)
         assert_trains_like_reference(corpus, cfg)
 
     @pytest.mark.parametrize("n_docs, epochs", [(20, 1), (2048, 3), (2049, 2), (4500, 2)])

@@ -3,6 +3,7 @@
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from eventsearch import embedding
 from eventsearch.embedding import EmbeddingModel, sim
-from eventsearch.errors import AllStopwords, EmptySeed, NotInQuery, ZeroVector
+from eventsearch.errors import AllStopwords, EmptySeed, FormatError, NotInQuery, ZeroVector
 from eventsearch.expansion import (
     ExpandedQuery,
     StopwordList,
@@ -335,6 +336,13 @@ class TestStopwordList:
         path.write_text("# comment\nfoo\n\nbar\n", encoding="utf-8")
         stops = StopwordList.from_file(path)
         assert "foo" in stops and "bar" in stops and len(stops) == 2
+
+    def test_from_file_not_utf8(self, tmp_path):
+        path = tmp_path / "stops.txt"
+        path.write_bytes(b"# comment\nfoo\n\x80bar\n")
+        with pytest.raises(FormatError, match=re.escape(f"line 3: {path} is not UTF-8")) as excinfo:
+            StopwordList.from_file(path)
+        assert excinfo.value.line == 3
 
     def test_rejects_uppercase(self):
         with pytest.raises(ValueError):

@@ -201,6 +201,13 @@ class TestPersistence:
                 load_index(io.StringIO(text))
             assert excinfo.value.line == len(text.splitlines()), text
 
+    def test_file_not_utf8(self, tmp_path):
+        path = tmp_path / "idx.txt"
+        path.write_bytes(b"INDEXv2 2018-02 1\nD d1 2018-02-01 0 a\xc3\n")  # cut two-byte form
+        with pytest.raises(FormatError, match="is not UTF-8 \\(byte 0xc3\\)") as excinfo:
+            load_index(path)
+        assert excinfo.value.line == 2
+
     def test_cut_inside_last_line(self):
         text = "INDEXv2 2018-02 1\nD d1 2018-02-01 0 ab"  # complete file ends "abc\n"
         with pytest.raises(FormatError) as excinfo:

@@ -129,7 +129,7 @@ def _cosines(model: EmbeddingModel, row: int) -> np.ndarray:
     with np.errstate(invalid="ignore"):  # einsum, unlike BLAS, is symmetric in the two rows
         scores = np.einsum("ij,j->i", model._matrix, model._matrix[row])
         scores /= model._norms * model._norms[row]
-    return np.clip(scores, -1.0, 1.0, out=scores)
+    return np.minimum(np.maximum(scores, -1.0, out=scores), 1.0, out=scores)
 
 
 def sim(model: EmbeddingModel, i: str, j: str) -> float:
@@ -171,7 +171,7 @@ def _neighbors(model: EmbeddingModel, term: str, k: int, min_sim: float):
         raise ZeroVector(f"{term!r} has a zero vector")
     scores = _cosines(model, row)
     scores[row] = np.nan
-    hits = np.flatnonzero(scores > min_sim)
+    hits = (scores > min_sim).nonzero()[0]
     if len(hits) > k:  # keep the k best and every score tied with the k-th
         hits = hits[scores[hits] >= np.partition(scores[hits], -k)[-k]]
     scored = [(model._terms[i], float(scores[i])) for i in hits]

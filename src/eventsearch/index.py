@@ -58,10 +58,15 @@ class InvertedIndex:
         """term -> number of documents holding it; a view derived on first access."""
         return dict(zip(self.terms, np.diff(self.offsets).tolist()))
 
+    @cached_property
+    def bounds(self) -> list[int]:
+        """offsets as a Python list, for per-term reads; a view derived on first access."""
+        return self.offsets.tolist()
+
     def idf(self, term: str) -> float:
         """ln((N + 1) / (df + 1)) + 1; smoothed, strictly positive."""
         row = self.term_rows.get(term)
-        df = 0 if row is None else int(self.offsets[row + 1] - self.offsets[row])
+        df = 0 if row is None else self.bounds[row + 1] - self.bounds[row]
         return math.log((self.doc_count + 1) / (df + 1)) + 1.0
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -42,8 +42,7 @@ class Bm25:
 ScorerKind = Union[TfIdf, Bm25]
 
 
-@dataclass(frozen=True)
-class RankedResult:
+class RankedResult(NamedTuple):
     doc_id: str
     score: float
     matched_terms: tuple[tuple[str, float], ...]
@@ -67,12 +66,12 @@ def _accumulate(index: InvertedIndex, query: ExpandedQuery, scorer: ScorerKind, 
     if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     terms = sorted(query.all_terms() & index.term_rows.keys())
-    spans = [index.offsets[i : i + 2].tolist() for i in map(index.term_rows.get, terms)]
+    spans = [index.bounds[i : i + 2] for i in map(index.term_rows.get, terms)]
     counts = [hi - lo for lo, hi in spans]
     rows = np.concatenate([index.doc_rows[lo:hi] for lo, hi in spans] or [index.doc_rows[:0]])
     tfs = np.concatenate([index.tfs[lo:hi] for lo, hi in spans] or [index.tfs[:0]])
-    idf = np.repeat([index.idf(term) for term in terms], counts)
-    delta = np.repeat([query.delta(term) for term in terms], counts)
+    idf = np.array([index.idf(term) for term in terms]).repeat(counts)
+    delta = np.array([query.delta(term) for term in terms]).repeat(counts)
     contribution = _contribution(scorer, tfs, idf, delta, index.doc_len[rows], index.avg_doc_len)
     # in posting order: term after term for each document, from 0.0; with no postings,
     # bincount returns int64 zeros, so the cast keeps every score a float
@@ -87,12 +86,12 @@ def _results(index: InvertedIndex, accumulated, hits: np.ndarray) -> list[Ranked
     position[hits] = np.arange(len(hits))
     at = position[rows]
     kept = (at >= 0).nonzero()[0]
-    term_of = np.repeat(np.arange(len(terms)), counts)[kept]
+    term_of = np.arange(len(terms)).repeat(counts)[kept]
     matched = [[] for _ in hits]
     for i, t, value in zip(at[kept].tolist(), term_of.tolist(), contribution[kept].tolist()):
         matched[i].append((terms[t], value))
-    ranked = zip(hits.tolist(), scores[hits].tolist(), matched)
-    return [RankedResult(index.doc_ids[row], score, tuple(pairs)) for row, score, pairs in ranked]
+    doc_ids = map(index.doc_ids.__getitem__, hits.tolist())
+    return list(map(RankedResult._make, zip(doc_ids, scores[hits].tolist(), map(tuple, matched))))
 
 
 def score_document(
@@ -125,9 +124,9 @@ def retrieve(
     """Documents matching any query term, kept when score > threshold,
     sorted by score descending with doc_id breaking ties; only the documents
     returned get matched_terms."""
-    accumulated = _accumulate(index, query, scorer, threshold)
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
+    accumulated = _accumulate(index, query, scorer, threshold)
     scores = accumulated[-1]
     hits = (scores > threshold).nonzero()[0]
     hits = hits[np.lexsort((index.doc_rank[hits], -scores[hits]))][:limit]

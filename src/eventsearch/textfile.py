@@ -23,17 +23,29 @@ FIELD = re.compile(r"\S+")
 def reader(path: str | Path, newline: str | None = None) -> Iterator[IO[str]]:
     """A handle reading the UTF-8 file at path, as open() with newline gives it. A byte
     that is not UTF-8 raises FormatError naming path and the first such byte's line."""
-    with open(path, encoding="utf-8", newline=newline) as handle:
-        try:
-            yield handle
-        except UnicodeDecodeError:
-            data = Path(path).read_bytes()  # the decoder saw one chunk; find the byte's line
+    with open(path, encoding="utf-8", newline=newline) as handle, _decoding(handle):
+        yield handle
+
+
+@contextmanager
+def _decoding(handle: IO[str]) -> Iterator[IO[str]]:
+    """Yields handle, turning a UnicodeDecodeError from reading it into FormatError. The decoder
+    saw one chunk, so the bad byte's line comes from re-reading the binary buffer from the start
+    where it can be, as an open() handle's can; otherwise only the byte is named."""
+    try:
+        yield handle
+    except UnicodeDecodeError as exc:
+        name = getattr(handle, "name", "input")
+        buffer = getattr(handle, "buffer", None)
+        if buffer is not None and buffer.seekable():
+            buffer.seek(0)
+            data = buffer.read()
             try:
                 data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                message = f"{path} is not UTF-8 (byte {data[exc.start]:#04x})"
-                raise FormatError(message, line=data.count(b"\n", 0, exc.start) + 1) from None
-            raise  # the file changed since the failed read: keep that read's error
+            except UnicodeDecodeError as first:
+                message = f"{name} is not UTF-8 (byte {data[first.start]:#04x})"
+                raise FormatError(message, line=data.count(b"\n", 0, first.start) + 1) from None
+        raise FormatError(f"{name} is not {exc.encoding} (byte {exc.object[exc.start]:#04x})")
 
 
 def read_lines(source: PathOrFile, kind: str) -> list[str]:
@@ -42,11 +54,9 @@ def read_lines(source: PathOrFile, kind: str) -> list[str]:
     Raises FormatError for an empty file, and for one whose last line has no
     newline: that file was cut in the middle of a line.
     """
-    if isinstance(source, (str, Path)):
-        with reader(source, newline="\n") as handle:
-            text = handle.read()
-    else:
-        text = source.read()
+    is_path = isinstance(source, (str, Path))
+    with reader(source, newline="\n") if is_path else _decoding(source) as handle:
+        text = handle.read()
     if not text:
         raise FormatError(f"empty {kind} file", line=1)
     lines = text.split("\n")

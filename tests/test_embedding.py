@@ -35,6 +35,7 @@ from eventsearch.errors import (
 
 from util import (
     DRIFT_CONFIG,
+    Unseekable,
     cooccurrence_corpus,
     corpus_from_token_lists,
     drift_corpora,
@@ -148,6 +149,24 @@ class TestSim:
             assert len(scan) == n_terms - 1
             for b, score in scan.items():
                 assert sim(model, a, b) == sim(model, b, a) == score
+
+
+class TestCosines:
+    def test_zero_row_is_nan(self):
+        model = model_from({"z": (0.0, 0.0), "a": (1.0, 0.0), "b": (0.6, 0.8)})
+        assert np.isnan(embedding._cosines(model, 0)).all()
+        for row in (1, 2):
+            scan = embedding._cosines(model, row)
+            assert np.isnan(scan[0]) and not np.isnan(scan[1:]).any()
+
+    def test_parallel_rows_clipped_exactly(self):
+        v = np.array([0.7, 0.3, 0.0])
+        model = model_from({"a": v, "b": 3 * v, "c": -7 * v})
+        # the division alone overshoots [-1, 1] for these rows
+        dots = np.einsum("ij,j->i", model._matrix, model._matrix[0])
+        raw = dots / (model._norms * model._norms[0])
+        assert raw[1] > 1.0 and raw[2] < -1.0
+        assert embedding._cosines(model, 0).tolist() == [1.0, 1.0, -1.0]
 
 
 FIXTURE = {"q": (1.0, 0.0), "a": (1.0, 0.0), "b": (0.8, 0.6), "c": (0.0, 1.0)}
@@ -330,6 +349,20 @@ class TestVectorFileFormat:
         with pytest.raises(FormatError, match="is not UTF-8 \\(byte 0xe9\\)") as excinfo:
             load_vectors(path)
         assert excinfo.value.line == 3
+
+    def test_handle_not_utf8(self, tmp_path):
+        """An open handle reports the line the path form gives; a handle whose buffer cannot
+        be re-read reports the byte without a line."""
+        path = tmp_path / "m.vec"
+        data = b"2 1\na\xff 1.0\nb 2.0\n"
+        path.write_bytes(data)
+        with open(path, encoding="utf-8") as handle:
+            with pytest.raises(FormatError, match="is not UTF-8 \\(byte 0xff\\)") as excinfo:
+                load_vectors(handle)
+        assert excinfo.value.line == 2
+        with pytest.raises(FormatError, match="is not utf-8 \\(byte 0xff\\)") as excinfo:
+            load_vectors(io.TextIOWrapper(Unseekable(data), encoding="utf-8"))
+        assert excinfo.value.line is None
 
     @pytest.mark.parametrize(
         "text, line",

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eventsearch import ranking
 from eventsearch.corpus import ItemDocument, MonthlyCorpus, segment_by_month
 from eventsearch.errors import DuplicateDocumentId, FormatError
+from eventsearch.expansion import ExpandedQuery
 from eventsearch.index import InvertedIndex, _parse_doc_line, build_index, load_index, save_index
 
-from util import corpus_from_token_lists
+from util import Unseekable, corpus_from_token_lists
 
 
 @pytest.fixture
@@ -103,6 +105,33 @@ class TestIdf:
     def test_always_positive(self, two_doc_index):
         for term in list(two_doc_index.postings) + ["unseen"]:
             assert two_doc_index.idf(term) > 0
+
+    def test_bounds_view_equals_offsets(self):
+        rng = np.random.default_rng(5)
+        for n_docs in (0, 1, 40):
+            lists = [list(rng.choice(["a", "b", "c", "d", "e"], size=rng.integers(0, 6)))
+                     for _ in range(n_docs)]
+            index = build_index(corpus_from_token_lists(lists))
+            assert index.bounds == index.offsets.tolist()
+            assert all(type(bound) is int for bound in index.bounds)
+
+    def test_equals_the_idf_ranking_applies(self, monkeypatch):
+        """idf(term) is, bit for bit, the idf _accumulate gives each of term's postings."""
+        lists = [["a", "b", "a"], ["b", "c"], ["c", "d", "d"], ["a", "c", "e", "e"], ["b"]]
+        index = build_index(corpus_from_token_lists(lists))
+        seen = []
+
+        def contribution(scorer, tf, idf, *rest):
+            seen.append(idf)
+            return real(scorer, tf, idf, *rest)
+
+        real = ranking._contribution
+        monkeypatch.setattr(ranking, "_contribution", contribution)
+        query = ExpandedQuery(("a", "zzz"), {"b": 0.9, "c": 0.8, "d": 0.7, "e": 0.6})
+        terms, counts, *_ = ranking._accumulate(index, query, ranking.TfIdf(), 0.0)
+        expected = [index.idf(term) for term, count in zip(terms, counts) for _ in range(count)]
+        assert terms == ["a", "b", "c", "d", "e"]
+        assert [value.hex() for value in seen[0].tolist()] == [value.hex() for value in expected]
 
 
 def _assert_same_index(a, b):
@@ -207,6 +236,20 @@ class TestPersistence:
         with pytest.raises(FormatError, match="is not UTF-8 \\(byte 0xc3\\)") as excinfo:
             load_index(path)
         assert excinfo.value.line == 2
+
+    def test_handle_not_utf8(self, tmp_path):
+        """An open handle reports the line the path form gives; a handle whose buffer cannot
+        be re-read reports the byte without a line."""
+        path = tmp_path / "idx.txt"
+        data = b"INDEXv2 2018-02 2\nD d1 2018-02-01 0 a\xff\nD d2 2018-02-01 0 b\n"
+        path.write_bytes(data)
+        with open(path, encoding="utf-8") as handle:
+            with pytest.raises(FormatError, match="is not UTF-8 \\(byte 0xff\\)") as excinfo:
+                load_index(handle)
+        assert excinfo.value.line == 2
+        with pytest.raises(FormatError, match="is not utf-8 \\(byte 0xff\\)") as excinfo:
+            load_index(io.TextIOWrapper(Unseekable(data), encoding="utf-8"))
+        assert excinfo.value.line is None
 
     def test_cut_inside_last_line(self):
         text = "INDEXv2 2018-02 1\nD d1 2018-02-01 0 ab"  # complete file ends "abc\n"

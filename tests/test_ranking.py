@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eventsearch import ranking
 from eventsearch.corpus import ItemDocument, MonthlyCorpus
 from eventsearch.errors import UnknownDocument
 from eventsearch.expansion import ExpandedQuery
 from eventsearch.index import build_index
-from eventsearch.ranking import (Bm25, TfIdf, count_hits, format_results, retrieve,
+from eventsearch.ranking import (Bm25, RankedResult, TfIdf, count_hits, format_results, retrieve,
                                 score_document)
 
 from oracle import brute_force_retrieve
@@ -164,6 +165,15 @@ class TestRetrieve:
             with pytest.raises(ValueError):
                 retrieve(small_index, ExpandedQuery(("a",), {}), limit=limit)
 
+    def test_limit_checked_before_accumulating(self, small_index, monkeypatch):
+        def accumulate(*args):
+            raise AssertionError("a bad limit paid for an accumulation")
+
+        monkeypatch.setattr(ranking, "_accumulate", accumulate)
+        for limit in (0, -1):
+            with pytest.raises(ValueError, match="limit"):
+                retrieve(small_index, ExpandedQuery(("a",), {}), limit=limit)
+
     def test_query_matching_no_posting(self, small_index):
         for scorer in (TfIdf(), Bm25()):
             assert retrieve(small_index, ExpandedQuery(("zzz",), {"yyy": 0.9}), scorer) == []
@@ -216,6 +226,61 @@ def test_retrieve_equals_score_document(token_lists, query, scorer, threshold, l
     if results:  # the threshold is strict: a document scoring exactly on it is cut
         cut = results[-1].score
         assert retrieve(index, query, scorer, cut) == [r for r in results if r.score > cut]
+
+
+def _reference_results(index, accumulated, hits):
+    """(doc_id, score.hex(), matched_terms) of the document rows hits, built one posting at a
+    time: every posting, in term order, appends (term, contribution) to its document's list
+    when that document is a hit."""
+    terms, counts, rows, contribution, scores = accumulated
+    where = {row: i for i, row in enumerate(hits)}
+    matched = [[] for _ in hits]
+    term_of = [term for term, count in zip(terms, counts) for _ in range(count)]
+    for term, row, value in zip(term_of, rows.tolist(), contribution.tolist()):
+        if row in where:
+            matched[where[row]].append((term, value))
+    return [(index.doc_ids[row], float(scores[row]).hex(), tuple(pairs))
+            for row, pairs in zip(hits, matched)]
+
+
+def _as_compared(results):
+    assert all(type(r) is RankedResult for r in results)
+    return [(r.doc_id, r.score.hex(), r.matched_terms) for r in results]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(_POOL), max_size=8), max_size=12),
+    _queries(),
+    st.one_of(st.just(TfIdf()), st.builds(Bm25, st.floats(0.1, 3.0), st.floats(0.0, 1.0))),
+    st.sampled_from([0.0, 0.5, 2.0, 4.0]),
+    st.sampled_from([None, 1, 2, 3, 4, 5]),
+)
+def test_results_equal_per_posting_reference(token_lists, query, scorer, threshold, limit):
+    index = build_index(corpus_from_token_lists(token_lists))
+    accumulated = ranking._accumulate(index, query, scorer, threshold)
+    scores = accumulated[-1]
+    hits = [row for row in range(index.doc_count) if scores[row] > threshold]
+    hits.sort(key=lambda row: (-scores[row], index.doc_ids[row]))
+    expected = _reference_results(index, accumulated, hits[:limit])
+    assert _as_compared(retrieve(index, query, scorer, threshold, limit)) == expected
+    everything = ranking._accumulate(index, query, scorer, 0.0)
+    for row, doc_id in enumerate(index.doc_ids):
+        scored = _as_compared([score_document(index, doc_id, query, scorer)])
+        assert scored == _reference_results(index, everything, [row])
+
+
+class TestRankedResult:
+    def test_type_contract(self, small_index):
+        result = score_document(small_index, "d0000", ExpandedQuery(("a",), {"b": 0.8}))
+        assert RankedResult._fields == ("doc_id", "score", "matched_terms")
+        for name in ("score", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(result, name, 0.0)
+        assert hash(result) == hash(("d0000", result.score, result.matched_terms))
+        assert type(result.score) is float
+        assert result == RankedResult._make((result.doc_id, result.score, result.matched_terms))
+        assert result == tuple(result)
 
 
 class TestOracleEquivalence:

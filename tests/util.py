@@ -4,6 +4,7 @@ Everything here recomputes expectations from raw math or raw token lists,
 never through the code paths under test.
 """
 
+import io
 import math
 from datetime import date
 
@@ -13,6 +14,13 @@ from eventsearch.corpus import ItemDocument, MonthlyCorpus
 from eventsearch.expansion import ExpandedQuery
 
 WORD_POOL = [f"w{i:02d}" for i in range(40)]
+
+
+class Unseekable(io.BytesIO):
+    """Bytes read as from a pipe: no going back to the start."""
+
+    def seekable(self):
+        return False
 
 
 def corpus_from_token_lists(token_lists, month=(2018, 2)):

@@ -6,13 +6,14 @@ A built index is immutable and safe for unlimited concurrent readers.
 from __future__ import annotations
 
 import math
+from datetime import date
 from functools import cached_property
 
 import numpy as np
 
 from .corpus import (ItemDocument, MonthKey, MonthlyCorpus, format_month, parse_date, parse_month,
                      tokenize)
-from .errors import DuplicateDocumentId, FormatError
+from .errors import FormatError
 from .textfile import FIELD, PathOrFile, read_lines, writer
 
 FORMAT = "INDEXv2"
@@ -98,7 +99,8 @@ def save_index(index: InvertedIndex, dest: PathOrFile) -> None:
             )
 
 
-def _parse_doc_line(line: str, lineno: int, month_key: MonthKey) -> ItemDocument:
+def _parse_doc_line(line: str, lineno: int, month_key: MonthKey,
+                    dates: dict[str, date]) -> ItemDocument:
     fields = line.split(" ")
     if fields[0] != "D" or len(fields) < 4:
         raise FormatError(f"expected 'D <doc_id> <date> <category count> <tokens>', got {line!r}",
@@ -107,14 +109,16 @@ def _parse_doc_line(line: str, lineno: int, month_key: MonthKey) -> ItemDocument
     tokens = fields[4:]
     if not FIELD.fullmatch(doc_id):
         raise FormatError(f"invalid doc_id {doc_id!r}", line=lineno)
-    try:
-        sold = parse_date(date_text)
-    except ValueError:
-        raise FormatError(f"invalid date {date_text!r}", line=lineno) from None
-    if (sold.year, sold.month) != month_key:
-        raise FormatError(
-            f"document dated {date_text} outside partition {format_month(month_key)}", line=lineno
-        )
+    sold = dates.get(date_text)
+    if sold is None:
+        try:
+            sold = parse_date(date_text)
+        except ValueError:
+            raise FormatError(f"invalid date {date_text!r}", line=lineno) from None
+        if (sold.year, sold.month) != month_key:
+            raise FormatError(f"document dated {date_text} outside partition "
+                              f"{format_month(month_key)}", line=lineno)
+        dates[date_text] = sold
     if not (cat_count_text.isascii() and cat_count_text.isdigit()):  # int() takes '+1', '١'
         raise FormatError(f"invalid category token count {cat_count_text!r}", line=lineno)
     cat_count = int(cat_count_text)
@@ -126,26 +130,6 @@ def _parse_doc_line(line: str, lineno: int, month_key: MonthKey) -> ItemDocument
     category = " ".join(tokens[:cat_count])
     title = " ".join(tokens[cat_count:])
     return ItemDocument(doc_id, sold, category, title, tuple(tokens))
-
-
-def _bulk_documents(lines: list[str], month_key: MonthKey) -> tuple[ItemDocument, ...]:
-    """The D lines' documents, all checked at once: ValueError where a line may break a rule
-    that _parse_doc_line checks."""
-    rows = [line.split(" ") for line in lines]
-    if not all(fields[0] == "D" and len(fields) >= 4 and FIELD.fullmatch(fields[1])
-               and fields[3].isascii() and fields[3].isdigit()
-               and int(fields[3]) <= len(fields) - 4 for fields in rows):
-        raise ValueError("a line is malformed")
-    dates = {text: parse_date(text) for text in {fields[2] for fields in rows}}
-    # a space splits tokens and lower() changes nothing a normalized token holds, so the
-    # whole stream is normalized exactly when every line's tokens are
-    stream = [token for fields in rows for token in fields[4:]]
-    if (any((sold.year, sold.month) != month_key for sold in dates.values())
-            or tokenize("", " ".join(stream)) != stream):
-        raise ValueError("a date or a token is malformed")
-    return tuple(ItemDocument(fields[1], dates[fields[2]], " ".join(fields[4 : 4 + int(fields[3])]),
-                              " ".join(fields[4 + int(fields[3]) :]), tuple(fields[4:]))
-                 for fields in rows)
 
 
 def load_index(source: PathOrFile) -> InvertedIndex:
@@ -166,14 +150,10 @@ def load_index(source: PathOrFile) -> InvertedIndex:
         raise FormatError(f"invalid document count {header[2]!r}", line=1)
     doc_count = int(header[2])
 
-    if len(lines) - 1 == doc_count:
-        try:  # all lines at once; on any fault the line-by-line pass below names its line
-            return build_index(MonthlyCorpus(month_key, _bulk_documents(lines[1:], month_key)))
-        except (ValueError, DuplicateDocumentId):
-            pass
     documents: dict[str, ItemDocument] = {}
+    dates: dict[str, date] = {}  # each date text that passed its checks, parsed once
     for lineno, line in enumerate(lines[1:], start=2):
-        doc = _parse_doc_line(line, lineno, month_key)
+        doc = _parse_doc_line(line, lineno, month_key, dates)
         if doc.doc_id in documents:
             raise FormatError(f"duplicate doc_id {doc.doc_id!r}", line=lineno)
         documents[doc.doc_id] = doc
@@ -181,4 +161,4 @@ def load_index(source: PathOrFile) -> InvertedIndex:
         raise FormatError(
             f"header promises {doc_count} documents, found {len(documents)}", line=len(lines) + 1
         )
-    return build_index(MonthlyCorpus(month_key, tuple(documents.values())))
+    return InvertedIndex(month_key, documents)

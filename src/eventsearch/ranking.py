@@ -13,6 +13,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
+from .embedding import _integer
 from .errors import UnknownDocument
 from .expansion import ExpandedQuery
 from .index import InvertedIndex
@@ -124,7 +125,7 @@ def retrieve(
     """Documents matching any query term, kept when score > threshold,
     sorted by score descending with doc_id breaking ties; only the documents
     returned get matched_terms."""
-    if limit is not None and limit < 1:
+    if limit is not None and _integer("limit", limit) < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     accumulated = _accumulate(index, query, scorer, threshold)
     scores = accumulated[-1]

@@ -30,15 +30,19 @@ def reader(path: str | Path, newline: str | None = None) -> Iterator[IO[str]]:
 @contextmanager
 def _decoding(handle: IO[str]) -> Iterator[IO[str]]:
     """Yields handle, turning a UnicodeDecodeError from reading it into FormatError. The decoder
-    saw one chunk, so the bad byte's line comes from re-reading the binary buffer from the start
-    where it can be, as an open() handle's can; otherwise only the byte is named."""
+    saw one chunk, so the bad byte's line comes from re-reading the binary buffer from where the
+    handle stood on entry, as an open() handle's can be re-read; else only the byte is named."""
+    buffer = getattr(handle, "buffer", None)
+    try:  # a UTF-8 handle's tell() is its byte offset; a handle being iterated refuses it
+        start = handle.tell() if buffer is not None and buffer.seekable() else None
+    except OSError:
+        start = None
     try:
         yield handle
     except UnicodeDecodeError as exc:
         name = getattr(handle, "name", "input")
-        buffer = getattr(handle, "buffer", None)
-        if buffer is not None and buffer.seekable():
-            buffer.seek(0)
+        if start is not None:
+            buffer.seek(start)
             data = buffer.read()
             try:
                 data.decode("utf-8")

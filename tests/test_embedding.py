@@ -364,6 +364,19 @@ class TestVectorFileFormat:
             load_vectors(io.TextIOWrapper(Unseekable(data), encoding="utf-8"))
         assert excinfo.value.line is None
 
+    @pytest.mark.parametrize("last_row", [b"w2000 \xff\n", b"w2000 4x\n"])
+    def test_lines_counted_from_the_handle_position(self, tmp_path, last_row):
+        """A bad byte and a bad number in one row report one line, counted from where the
+        handle stood, past the decoder's first chunk."""
+        path = tmp_path / "m.vec"
+        rows = b"".join(b"w%d 1.5\n" % i for i in range(2000))
+        path.write_bytes(b"junk\n2001 1\n" + rows + last_row)
+        with open(path, encoding="utf-8") as handle:
+            handle.readline()
+            with pytest.raises(FormatError) as excinfo:
+                load_vectors(handle)
+        assert excinfo.value.line == 2002
+
     @pytest.mark.parametrize(
         "text, line",
         [

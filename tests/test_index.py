@@ -1,19 +1,22 @@
 """Inverted index construction, lookups, and persistence."""
 
+import contextlib
 import io
 import math
+import re
 from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eventsearch import index as index_module
 from eventsearch import ranking
 from eventsearch.corpus import ItemDocument, MonthlyCorpus, segment_by_month
 from eventsearch.errors import DuplicateDocumentId, FormatError
 from eventsearch.expansion import ExpandedQuery
-from eventsearch.index import InvertedIndex, _parse_doc_line, build_index, load_index, save_index
+from eventsearch.index import InvertedIndex, build_index, load_index, save_index
 
 from util import Unseekable, corpus_from_token_lists
 
@@ -251,6 +254,24 @@ class TestPersistence:
             load_index(io.TextIOWrapper(Unseekable(data), encoding="utf-8"))
         assert excinfo.value.line is None
 
+    def test_handle_not_utf8_counts_from_its_position(self, tmp_path):
+        """Past a line the caller read, a bad byte reports the line a bad token does; a handle
+        being iterated cannot tell its position, so its bad byte has no line."""
+        path = tmp_path / "idx.txt"
+        rows = b"".join(b"D d%d 2018-02-01 0 a\n" % i for i in range(600))
+        for last in (b"D e 2018-02-01 0 A\n", b"D e 2018-02-01 0 \xff\n"):
+            path.write_bytes(b"junk\nINDEXv2 2018-02 601\n" + rows + last)
+            with open(path, encoding="utf-8") as handle:
+                handle.readline()
+                with pytest.raises(FormatError) as excinfo:
+                    load_index(handle)
+            assert excinfo.value.line == 602
+        with open(path, encoding="utf-8") as handle:
+            next(handle)
+            with pytest.raises(FormatError, match="byte 0xff") as excinfo:
+                load_index(handle)
+        assert excinfo.value.line is None
+
     def test_cut_inside_last_line(self):
         text = "INDEXv2 2018-02 1\nD d1 2018-02-01 0 ab"  # complete file ends "abc\n"
         with pytest.raises(FormatError) as excinfo:
@@ -321,16 +342,40 @@ def test_round_trip_equals_build_and_every_prefix_fails(specs):
 
 
 def reference_load_index(text):
-    """load_index line by line, each D line through _parse_doc_line, for a complete file
-    whose header is 'INDEXv2 2018-02 <n>'."""
+    """load_index line by line, every rule and message written out and every date parsed, for
+    a complete file whose header is 'INDEXv2 2018-02 <n>'."""
     lines = text.split("\n")[:-1]
     doc_count = int(lines[0].split(" ")[2])
     documents = {}
     for lineno, line in enumerate(lines[1:], start=2):
-        doc = _parse_doc_line(line, lineno, (2018, 2))
-        if doc.doc_id in documents:
-            raise FormatError(f"duplicate doc_id {doc.doc_id!r}", line=lineno)
-        documents[doc.doc_id] = doc
+        fields = line.split(" ")
+        if fields[0] != "D" or len(fields) < 4:
+            raise FormatError(
+                f"expected 'D <doc_id> <date> <category count> <tokens>', got {line!r}", line=lineno
+            )
+        _, doc_id, date_text, count_text = fields[:4]
+        tokens = fields[4:]
+        if not doc_id or any(c.isspace() for c in doc_id):
+            raise FormatError(f"invalid doc_id {doc_id!r}", line=lineno)
+        sold = None
+        if re.fullmatch("[0-9]{4}-[0-9]{2}-[0-9]{2}", date_text):
+            with contextlib.suppress(ValueError):  # no such day
+                sold = date(*map(int, date_text.split("-")))
+        if sold is None:
+            raise FormatError(f"invalid date {date_text!r}", line=lineno)
+        if (sold.year, sold.month) != (2018, 2):
+            raise FormatError(f"document dated {date_text} outside partition 2018-02", line=lineno)
+        if not (count_text.isascii() and count_text.isdigit()):
+            raise FormatError(f"invalid category token count {count_text!r}", line=lineno)
+        cat_count = int(count_text)
+        if cat_count > len(tokens):
+            raise FormatError(f"category token count {cat_count} out of range", line=lineno)
+        if any(not token or token != token.lower() or not token.isalnum() for token in tokens):
+            raise FormatError(f"tokens are not in normalized form: {tokens}", line=lineno)
+        if doc_id in documents:
+            raise FormatError(f"duplicate doc_id {doc_id!r}", line=lineno)
+        documents[doc_id] = ItemDocument(doc_id, sold, " ".join(tokens[:cat_count]),
+                                         " ".join(tokens[cat_count:]), tuple(tokens))
     if len(documents) != doc_count:
         raise FormatError(
             f"header promises {doc_count} documents, found {len(documents)}", line=len(lines) + 1
@@ -340,6 +385,7 @@ def reference_load_index(text):
 
 _PLANTED_DATES = ["2018-02-30", "2018-03-01", "2017-02-01", "20180201", "2018-2-01",
                   "2018-02-0\u0661", "2018-02-01"]
+_PLANTED_DOC_IDS = ["", "a\tb", "a\u00a0", "\x1c", "a\u3000b"]
 _PLANTED_COUNTS = ["+1", "\u0661", "9", "-1", "", "01"]
 _PLANTED_TOKENS = ["A", "a-b", "", "\u00e9", "\u0130", "\u03a3", "a\tb"]
 
@@ -347,8 +393,10 @@ _PLANTED_TOKENS = ["A", "a-b", "", "\u00e9", "\u0130", "\u03a3", "a\tb"]
 @st.composite
 def index_files(draw):
     """A file save_index writes for 2018-02, zero-token documents included, then up to three
-    planted faults: a date, category count or token replaced or added, a doc_id repeated, a
-    line not starting 'D' or cut after its date, or a header promising one document more."""
+    planted faults: a doc_id, date, category count or token replaced or added, a count one
+    past the tokens, a planted date put on two lines, a line given another line's date text,
+    a doc_id repeated, a line not starting 'D' or cut after its date, or a header promising
+    one document more."""
     docs = draw(st.lists(
         st.tuples(st.text("ab1", min_size=1, max_size=2), st.integers(1, 28),
                   st.lists(st.text("ab1\u00e9", min_size=1, max_size=2), max_size=3),
@@ -359,7 +407,8 @@ def index_files(draw):
             for doc_id, day, tokens, cat in docs]
     count = len(rows)
     for fault, pick, planted in draw(st.lists(
-        st.tuples(st.sampled_from(["date", "count", "token", "repeat", "kind", "cut", "header"]),
+        st.tuples(st.sampled_from(["doc_id", "date", "date twice", "shared date", "count",
+                                   "count over", "token", "repeat", "kind", "cut", "header"]),
                   st.integers(0, 99), st.integers(0, 99)),
         max_size=3,
     )):
@@ -367,15 +416,24 @@ def index_files(draw):
             count += 1
         elif rows:
             row = rows[pick % len(rows)]
-            if fault == "date":
+            other = rows[planted % len(rows)]
+            if fault == "doc_id":
+                row[1] = _PLANTED_DOC_IDS[planted % len(_PLANTED_DOC_IDS)]
+            elif fault == "date":
                 row[2] = _PLANTED_DATES[planted % len(_PLANTED_DATES)]
+            elif fault == "date twice":
+                row[2] = other[2] = _PLANTED_DATES[pick % len(_PLANTED_DATES)]
+            elif fault == "shared date":
+                row[2] = other[2]
             elif fault == "count" and len(row) > 3:
                 row[3] = _PLANTED_COUNTS[planted % len(_PLANTED_COUNTS)]
+            elif fault == "count over" and len(row) > 3:
+                row[3] = str(len(row) - 3)
             elif fault == "token" and len(row) > 3:
                 token = _PLANTED_TOKENS[planted % len(_PLANTED_TOKENS)]
                 row.insert(4 + planted % (len(row) - 3), token)
             elif fault == "repeat":
-                row[1] = rows[planted % len(rows)][1]
+                row[1] = other[1]
             elif fault == "kind":
                 row[0] = "X"
             elif fault == "cut":
@@ -393,12 +451,45 @@ def _index_outcome(load, text):
     return list(index.doc_store.items()), index.terms, [array.tolist() for array in arrays]
 
 
-@settings(max_examples=300, deadline=None)
+_GOOD = "D a 2018-02-01 0 a\n"
+
+
+@settings(max_examples=400, deadline=None)
 @given(index_files())
+# one fault per rule on the line after a good one, so no rule rests on a random draw alone
+@example(f"INDEXv2 2018-02 2\n{_GOOD}X b 2018-02-01 0 a\n")
+@example(f"INDEXv2 2018-02 2\n{_GOOD}D b 2018-02-01\n")
+@example(f"INDEXv2 2018-02 2\n{_GOOD}D \t 2018-02-01 0 a\n")
+@example(f"INDEXv2 2018-02 2\n{_GOOD}D b 2018-02-30 0 a\n")
+@example(f"INDEXv2 2018-02 3\n{_GOOD}D b 2018-03-01 0 a\nD c 2018-03-01 0 a\n")
+@example(f"INDEXv2 2018-02 2\n{_GOOD}D b 2018-02-01 +1 a\n")
+@example(f"INDEXv2 2018-02 2\n{_GOOD}D b 2018-02-01 2 a\n")
+@example(f"INDEXv2 2018-02 2\n{_GOOD}D b 2018-02-01 0 A\n")
+@example(f"INDEXv2 2018-02 2\n{_GOOD}D a 2018-02-02 0 b\n")
+@example(f"INDEXv2 2018-02 3\n{_GOOD}D b 2018-02-01 1 b c\n")
+@example(f"INDEXv2 2018-02 3\n{_GOOD}D b 2018-02-01 1 b c\nD c 2018-02-02 0\n")
 def test_load_index_matches_line_by_line_reference(text):
     """The same documents and postings arrays, or the same error message and line."""
     got = _index_outcome(lambda text: load_index(io.StringIO(text)), text)
     assert got == _index_outcome(reference_load_index, text)
+
+
+def test_load_index_parses_each_date_text_once(monkeypatch):
+    docs = tuple(ItemDocument.create(f"d{i}", date(2018, 2, 1 + i % 5), "", f"w{i % 3}")
+                 for i in range(40))
+    out = io.StringIO()
+    save_index(build_index(MonthlyCorpus((2018, 2), docs)), out)
+    calls = []
+
+    def parse_date(text):
+        calls.append(text)
+        return real(text)
+
+    real = index_module.parse_date
+    monkeypatch.setattr(index_module, "parse_date", parse_date)
+    loaded = load_index(io.StringIO(out.getvalue()))
+    assert sorted(calls) == [f"2018-02-0{day}" for day in range(1, 6)]
+    assert [doc.sold_date for doc in loaded.doc_store.values()] == [doc.sold_date for doc in docs]
 
 
 def _reference_build(documents):

@@ -170,7 +170,7 @@ class TestRetrieve:
             raise AssertionError("a bad limit paid for an accumulation")
 
         monkeypatch.setattr(ranking, "_accumulate", accumulate)
-        for limit in (0, -1):
+        for limit in (0, -1, 2.0):
             with pytest.raises(ValueError, match="limit"):
                 retrieve(small_index, ExpandedQuery(("a",), {}), limit=limit)
 

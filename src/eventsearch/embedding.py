@@ -296,27 +296,31 @@ def save_vectors(model: EmbeddingModel, dest: PathOrFile) -> None:
             handle.write(f"{term} {components}\n")
 
 
-def _unwritten_form(text: str) -> bool:
-    """Whether component text holds what float() reads but save_vectors never writes."""
-    return not text.isascii() or any(c in text for c in "_\t\r\x0b\x0c")
-
-
-def _bulk_rows(rows: list[str], dim: int) -> tuple[list[str], np.ndarray]:
-    """Words and components of the rows, BLOCK_ROWS rows per numpy conversion: ValueError
-    where a row may break a rule that load_vectors checks line by line."""
-    words = [row.partition(" ")[0] for row in rows]
-    if not all(map(FIELD.fullmatch, words)):  # EmbeddingModel refuses a repeated word
-        raise ValueError("a word is empty or holds whitespace")
-    matrix = np.empty((len(rows), dim))
-    for lo in range(0, len(rows), BLOCK_ROWS):
-        block = rows[lo : lo + BLOCK_ROWS]
-        if any(row.count(" ") != dim for row in block):
-            raise ValueError("a row has the wrong component count")
-        text = " ".join([row.partition(" ")[2] for row in block])
-        if _unwritten_form(text):
-            raise ValueError("a number is in a form never written")
-        matrix[lo : lo + len(block)] = np.array(text.split(" "), np.float64).reshape(-1, dim)
-    return words, matrix
+def _rows(rows: list[str], dim: int, line: int, words: dict[str, None]) -> np.ndarray:
+    """Components of consecutive vector-file rows, the first on the given line, in one numpy
+    conversion; words, the ordered set of earlier rows' words, gains theirs once all pass. Else
+    the first check below that a row fails raises, under the first row's line and word."""
+    fresh = dict.fromkeys([row.partition(" ")[0] for row in rows])
+    word = next(iter(fresh))
+    if not all(map(FIELD.fullmatch, fresh)):
+        raise FormatError(f"word {word!r} is empty or holds whitespace", line=line)
+    if len(fresh) < len(rows) or not fresh.keys().isdisjoint(words):
+        raise FormatError(f"duplicate word {word!r}", line=line)
+    if any((count := row.count(" ")) != dim for row in rows):
+        raise DimensionMismatch(f"row has {count} components, header says {dim}", line=line)
+    text = " ".join([row.partition(" ")[2] for row in rows])
+    if not text.isascii() or any(c in text for c in "_\t\r\x0b\x0c"):  # float() reads these
+        raise FormatError(f"number in a form never written, in row {word!r}", line=line)
+    try:
+        matrix = np.array(text.split(" "), np.float64).reshape(-1, dim)
+    except ValueError:
+        raise FormatError(f"non-numeric vector component in row {word!r}", line=line) from None
+    if not np.isfinite(_norms(matrix)).all():  # a nan or inf component gives one too
+        overflow = np.isfinite(matrix).all()
+        fault = "vector norm overflows float64" if overflow else "non-finite vector component"
+        raise FormatError(f"{fault} in row {word!r}", line=line)
+    words.update(fresh)
+    return matrix
 
 
 def load_vectors(source: PathOrFile, month_key: MonthKey | None = None) -> EmbeddingModel:
@@ -325,7 +329,8 @@ def load_vectors(source: PathOrFile, month_key: MonthKey | None = None) -> Embed
     Raises FormatError (with the offending line number) on malformed content, including
     nan and inf components, a row whose norm overflows float64, and words and numbers in
     forms save_vectors never writes (a word holding whitespace, '1_0', '\u0661', whitespace
-    but ' '), and DimensionMismatch when a row's component count differs from the header.
+    but ' '), and DimensionMismatch (with its line number) when a row's component count
+    differs from the header.
     """
     lines = read_lines(source, "vector")
     header = lines[0].split(" ")
@@ -341,33 +346,14 @@ def load_vectors(source: PathOrFile, month_key: MonthKey | None = None) -> Embed
             f"header promises {vocab_size} rows, file has {len(lines) - 1}", line=len(lines)
         )
 
-    try:  # the whole file in bulk; on any fault the line-by-line pass below names its line
-        return EmbeddingModel(*_bulk_rows(lines[1:], dim), month_key)
-    except ValueError:
-        pass
-    words: dict[str, None] = {}  # an ordered set, for the duplicate check
-    matrix = np.empty((vocab_size, dim), dtype=np.float64)
-    for lineno, row in enumerate(lines[1:], start=2):
-        fields = row.split(" ")
-        word = fields[0]
-        if not FIELD.fullmatch(word):
-            raise FormatError(f"word {word!r} is empty or holds whitespace", line=lineno)
-        if word in words:
-            raise FormatError(f"duplicate word {word!r}", line=lineno)
-        if len(fields) - 1 != dim:
-            raise DimensionMismatch(
-                f"line {lineno}: row has {len(fields) - 1} components, header says {dim}"
-            )
-        if _unwritten_form(row[len(word) + 1 :]):
-            raise FormatError(f"number in a form never written, in row {word!r}", line=lineno)
+    words: dict[str, None] = {}
+    matrix = np.empty((vocab_size, dim))
+    for lo in range(0, vocab_size, BLOCK_ROWS):
+        block = lines[1 + lo : 1 + lo + BLOCK_ROWS]
         try:
-            components = [float(c) for c in fields[1:]]
-        except ValueError:
-            raise FormatError(f"non-numeric vector component in row {word!r}", line=lineno) from None
-        if not all(map(math.isfinite, components)):
-            raise FormatError(f"non-finite vector component in row {word!r}", line=lineno)
-        matrix[lineno - 2] = components
-        if not np.isfinite(_norms(matrix[lineno - 2 : lineno - 1]))[0]:
-            raise FormatError(f"vector norm overflows float64 in row {word!r}", line=lineno)
-        words[word] = None
+            matrix[lo : lo + len(block)] = _rows(block, dim, lo + 2, words)
+        except (FormatError, DimensionMismatch):  # re-read row by row to name the first fault
+            for i, row in enumerate(block):
+                _rows([row], dim, lo + 2 + i, words)
+            raise
     return EmbeddingModel(words, matrix, month_key)

@@ -23,7 +23,17 @@ class ZeroVector(EventSearchError):
     """Cosine similarity is undefined for a zero-magnitude vector."""
 
 
-class DimensionMismatch(EventSearchError):
+class _LineError(EventSearchError):
+    """An error that may name the line of a file it was found on, as "line N: " in front."""
+
+    def __init__(self, message: str, line: int | None = None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
+
+
+class DimensionMismatch(_LineError):
     """Vector lengths disagree with each other or with a declared dimension."""
 
 
@@ -35,14 +45,8 @@ class OutOfVocabulary(EventSearchError):
         self.term = term
 
 
-class FormatError(EventSearchError):
+class FormatError(_LineError):
     """A persisted file violates its documented format."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class UnknownDocument(EventSearchError):

@@ -98,8 +98,10 @@ def seed_only_query(
     """Normalized query with an empty expansion map (no model involved).
 
     Seed entries are tokenized and deduplicated, keeping first-seen order. k and min_sim
-    take no part in it, but they must be valid for expand_query.
+    take no part in it, but they must be valid for expand_query. A str seed raises ValueError.
     """
+    if isinstance(seed, str):
+        raise ValueError(f"seed must be an iterable of keywords, got the str {seed!r}")
     if not 1 <= _integer("k", k) <= 4:
         raise ValueError(f"k must be in 1..4, got {k}")
     if not 0.0 < min_sim < 1.0:

@@ -56,13 +56,15 @@ class TestEmbeddingModel:
 
     @pytest.mark.parametrize("matrix", [np.ones(2), np.ones((2, 2, 1)), np.float64(1.0)])
     def test_matrix_not_2d(self, matrix):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch) as excinfo:
             EmbeddingModel(["a", "b"], matrix)
+        assert excinfo.value.line is None
 
     @pytest.mark.parametrize("rows", [0, 1, 3])
     def test_wrong_row_count(self, rows):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch) as excinfo:
             EmbeddingModel(["a", "b"], np.ones((rows, 2)))
+        assert excinfo.value.line is None
 
     @pytest.mark.parametrize("terms", [[], ["a"]])
     def test_zero_columns(self, terms):
@@ -317,8 +319,9 @@ class TestVectorFileFormat:
 
     def test_wrong_component_count(self):
         text = "2 3\na 1.0 2.0 3.0\nb 1.0 2.0 3.0 4.0\n"
-        with pytest.raises(DimensionMismatch, match="line 3"):
+        with pytest.raises(DimensionMismatch, match="line 3") as excinfo:
             load_vectors(io.StringIO(text))
+        assert excinfo.value.line == 3
 
     def test_malformed_header(self):
         with pytest.raises(FormatError) as excinfo:
@@ -578,10 +581,13 @@ def _outcome(load, text):
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("block_rows", [2, BLOCK_ROWS])
+@pytest.mark.parametrize("block_rows", [1, 2, BLOCK_ROWS])
 @settings(max_examples=300, deadline=None)
 @given(vector_files())
 @example("2 2\na 1.0\nb 2.0 3.0 4.0\n")  # both rows' counts wrong, the file's total right
+@example("4 2\na 1.0 2.0\nb nan 1.0\nc 1.0 2.0\nd 1.0\n")  # a later block's count fault
+@example("2 1\nb junk\nx\ty 1.0\n")  # a bad word after a non-numeric row, in one block
+@example("3 1\na 1.0\nb 2.0\na 3.0\n")  # a word repeated in the next block of two rows
 def test_load_vectors_matches_line_by_line_reference(block_rows, text):
     """Same terms and matrix bytes, or the same error type, message and line."""
     def bulk(text):
@@ -596,6 +602,33 @@ def test_load_vectors_matches_line_by_line_reference(block_rows, text):
         assert (got[0], got[1].tobytes()) == (want[0], want[1].tobytes())
     else:
         assert got == want
+
+
+def test_clean_blocks_read_once_and_only_a_faulty_block_reread(monkeypatch):
+    """A clean file is read in whole blocks; a faulty block is re-read one row at a time,
+    up to its first faulty row, whose line is reported."""
+    calls = []
+    rows = embedding._rows
+
+    def counted(block, *args):
+        calls.append(len(block))
+        return rows(block, *args)
+
+    def vector_file(lines):
+        return io.StringIO(f"{len(lines)} 1\n" + "".join(f"{line}\n" for line in lines))
+
+    monkeypatch.setattr(embedding, "_rows", counted)
+    clean = [f"w{i} 1.5" for i in range(2 * BLOCK_ROWS + 1)]
+    assert len(load_vectors(vector_file(clean))) == len(clean)
+    assert calls == [BLOCK_ROWS, BLOCK_ROWS, 1]
+
+    calls.clear()
+    fifth_of_second = BLOCK_ROWS + 4
+    faulty = clean[:fifth_of_second] + [f"w{fifth_of_second} junk"] + clean[fifth_of_second + 1 :]
+    with pytest.raises(FormatError, match="non-numeric") as excinfo:
+        load_vectors(vector_file(faulty))
+    assert excinfo.value.line == 2 + fifth_of_second
+    assert calls == [BLOCK_ROWS, BLOCK_ROWS] + [1] * 5
 
 
 def reference_pairs(sentences, window):

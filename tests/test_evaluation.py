@@ -58,6 +58,10 @@ class TestRecallIncrease:
         with pytest.raises(UndefinedBaseline):
             recall_increase(scenario_index, ["unicorn"], model, NO_STOPS)
 
+    def test_str_seed_refused(self, scenario_index):
+        with pytest.raises(ValueError, match="seed must be"):
+            recall_increase(scenario_index, "valentine", model_from(EXPANDING_MODEL), NO_STOPS)
+
     def test_report_is_pure(self, scenario_index):
         model = model_from(EXPANDING_MODEL)
         first = recall_increase(scenario_index, ["valentine"], model, NO_STOPS)

@@ -102,6 +102,10 @@ class TestExpandQuery:
         with pytest.raises(AllStopwords):
             expand_query(["the of"], model, stops)
 
+    def test_str_seed_refused(self):
+        with pytest.raises(ValueError, match="seed must be"):
+            expand_query("valentine jewelry", model_from(JEWELRY_FIXTURE), NO_STOPS)
+
     def test_seed_normalization_dedupes(self):
         model = model_from(JEWELRY_FIXTURE)
         query = expand_query(["Jewelry", "JEWELRY day"], model, NO_STOPS)
@@ -302,6 +306,11 @@ class TestSeedOnlyQuery:
     def test_empty_seed(self):
         with pytest.raises(EmptySeed):
             seed_only_query([""])
+
+    def test_str_seed_refused(self):
+        """A str is an iterable of its letters; it is refused, not read letter by letter."""
+        with pytest.raises(ValueError, match="seed must be"):
+            seed_only_query("valentine jewelry")
 
     @pytest.mark.parametrize(
         "k, min_sim", [(0, 0.6), (5, 0.6), (2.0, 0.6), (4, 0.0), (4, 1.0), (4, math.nan)]

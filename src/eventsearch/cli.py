@@ -60,19 +60,26 @@ def _read_documents(path: str):
     return result.documents
 
 
-def _pick_partition(partitions: list[MonthlyCorpus], month_text: str | None) -> MonthlyCorpus:
+def _partition(args) -> MonthlyCorpus:
+    partitions = segment_by_month(_read_documents(args.input))
     if not partitions:
         raise EventSearchError("corpus contains no documents")
     available = ", ".join(format_month(p.month_key) for p in partitions)
-    if month_text is None:
+    if args.month is None:
         if len(partitions) > 1:
             raise EventSearchError(f"corpus spans several months ({available}); pass --month")
         return partitions[0]
-    wanted = parse_month(month_text)
+    wanted = parse_month(args.month)
     for part in partitions:
         if part.month_key == wanted:
             return part
-    raise EventSearchError(f"month {month_text} not in corpus (have: {available})")
+    raise EventSearchError(f"month {args.month} not in corpus (have: {available})")
+
+
+def _partition_flags(p: argparse.ArgumentParser, output_help: str = "index file") -> None:
+    p.add_argument("--input", required=True, help="TSV corpus file")
+    p.add_argument("--month", help="YYYY-MM selector when the corpus spans several months")
+    p.add_argument("--output", required=True, help=output_help)
 
 
 def _stopwords(args) -> StopwordList | None:
@@ -80,9 +87,8 @@ def _stopwords(args) -> StopwordList | None:
 
 
 def _scorer(args):
-    if args.scorer == "bm25":
-        return Bm25(k1=args.bm25_k1, b=args.bm25_b)
-    return TfIdf()
+    bm25 = Bm25(k1=args.bm25_k1, b=args.bm25_b)  # checks the flags under every scorer
+    return bm25 if args.scorer == "bm25" else TfIdf()
 
 
 def _ingest_flags(p: argparse.ArgumentParser) -> None:
@@ -106,9 +112,7 @@ def cmd_ingest(args) -> int:
 
 
 def _train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", required=True, help="TSV corpus file")
-    p.add_argument("--month", help="YYYY-MM selector when the corpus spans several months")
-    p.add_argument("--output", required=True, help="vectors file (word2vec text format)")
+    _partition_flags(p, "vectors file (word2vec text format)")
     p.add_argument("--dim", type=int, default=TrainConfig.dim)
     p.add_argument("--window", type=int, default=TrainConfig.window)
     p.add_argument("--negatives", type=int, default=TrainConfig.negatives)
@@ -123,8 +127,7 @@ def _train_flags(p: argparse.ArgumentParser) -> None:
 
 def cmd_train(args) -> int:
     cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
-    documents = _read_documents(args.input)
-    part = _pick_partition(segment_by_month(documents), args.month)
+    part = _partition(args)
     model = train(part, cfg)
     save_vectors(model, args.output)
     log.info(
@@ -161,15 +164,8 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def _index_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", required=True, help="TSV corpus file")
-    p.add_argument("--month", help="YYYY-MM selector when the corpus spans several months")
-    p.add_argument("--output", required=True, help="index file")
-
-
 def cmd_index(args) -> int:
-    documents = _read_documents(args.input)
-    part = _pick_partition(segment_by_month(documents), args.month)
+    part = _partition(args)
     index = build_index(part)
     save_index(index, args.output)
     log.info(
@@ -232,7 +228,7 @@ COMMANDS = {
     "train": ("train embeddings for one month partition", _train_flags, cmd_train),
     "neighbors": ("list nearest vocabulary terms for a word", _neighbors_flags, cmd_neighbors),
     "expand": ("expand seed keywords into a weighted query", _expand_flags, cmd_expand),
-    "index": ("build an inverted index for one month partition", _index_flags, cmd_index),
+    "index": ("build an inverted index for one month partition", _partition_flags, cmd_index),
     "search": ("rank indexed documents against a (expanded) query", _search_flags, cmd_search),
     "eval": ("report recall increase of expansion vs seed-only", _eval_flags, cmd_eval),
 }

@@ -37,24 +37,29 @@ class DimensionMismatch(_LineError):
     """Vector lengths disagree with each other or with a declared dimension."""
 
 
-class OutOfVocabulary(EventSearchError):
+class _Absent(EventSearchError):
+    """A missing value, alone in args so that a pickle round trip keeps it: "message: 'value'"."""
+
+    def __str__(self):
+        return f"{self.message}: {self.args[0]!r}"
+
+
+class OutOfVocabulary(_Absent):
     """A term is absent from the embedding model."""
 
-    def __init__(self, term: str):
-        super().__init__(f"term not in vocabulary: {term!r}")
-        self.term = term
+    message = "term not in vocabulary"
+    term = property(lambda self: self.args[0])
 
 
 class FormatError(_LineError):
     """A persisted file violates its documented format."""
 
 
-class UnknownDocument(EventSearchError):
+class UnknownDocument(_Absent):
     """A doc_id is not present in the index."""
 
-    def __init__(self, doc_id: str):
-        super().__init__(f"unknown document: {doc_id!r}")
-        self.doc_id = doc_id
+    message = "unknown document"
+    doc_id = property(lambda self: self.args[0])
 
 
 class EmptySeed(EventSearchError):
@@ -65,12 +70,11 @@ class AllStopwords(EventSearchError):
     """Every seed term is a stop word, so no expansion is possible."""
 
 
-class NotInQuery(EventSearchError):
+class NotInQuery(_Absent):
     """A term belongs to neither the seed nor the expansion of a query."""
 
-    def __init__(self, term: str):
-        super().__init__(f"term not in query: {term!r}")
-        self.term = term
+    message = "term not in query"
+    term = property(lambda self: self.args[0])
 
 
 class UndefinedBaseline(EventSearchError):

@@ -20,54 +20,48 @@ FORMAT = "INDEXv2"
 
 
 class InvertedIndex:
-    """Columnar postings (Zobel & Moffat, ACM CSUR 2006): term i of the sorted terms has
-    postings offsets[i]:offsets[i + 1] of doc_rows and tfs, in doc_id order; document row r
-    is doc_ids[r] (doc_store order), of doc_len[r] tokens and rank doc_rank[r] by doc_id."""
+    """Columnar postings (Zobel & Moffat, ACM CSUR 2006): term i of the sorted terms has postings
+    offsets[i]:offsets[i + 1] (Python ints) of doc_rows and tfs; row r is doc_ids[r], the r-th
+    doc_id in sorted order, of doc_len[r] tokens. doc_store keeps its input order."""
 
     def __init__(self, month_key: MonthKey, doc_store: dict[str, ItemDocument]):
         self.month_key = month_key
         self.doc_store = doc_store
-        self.doc_ids = list(doc_store)
+        # Python's order, not numpy's: numpy compares 'a\x00' equal to 'a'
+        self.doc_ids = sorted(doc_store)
         self.doc_count = len(doc_store)
-        self.doc_len = np.array([len(doc.tokens) for doc in doc_store.values()], np.int64)
+        docs = list(map(doc_store.__getitem__, self.doc_ids))
+        self.doc_len = np.array([len(doc.tokens) for doc in docs], np.int64)
         # mean token count over all documents; 0.0 for an empty index
         self.avg_doc_len = int(self.doc_len.sum()) / self.doc_count if doc_store else 0.0
-        # Python's order, not numpy's: numpy compares 'a\x00' equal to 'a'
-        by_rank = np.array(sorted(range(self.doc_count), key=self.doc_ids.__getitem__), np.intp)
-        self.doc_rank = np.argsort(by_rank)  # the inverse permutation
-        self.terms = sorted({token for doc in doc_store.values() for token in doc.tokens})
+        self.terms = sorted({token for doc in docs for token in doc.tokens})
         self.term_rows = {term: i for i, term in enumerate(self.terms)}
-        term_ids = [self.term_rows[token] for doc in doc_store.values() for token in doc.tokens]
-        # one sort over (term, doc rank) keys; a key's count is its posting's tf
+        term_ids = [self.term_rows[token] for doc in docs for token in doc.tokens]
+        # one sort over (term, document row) keys; a key's count is its posting's tf
         n = max(self.doc_count, 1)
-        keys = np.array(term_ids, dtype=np.int64) * n + np.repeat(self.doc_rank, self.doc_len)
+        keys = np.array(term_ids, np.int64) * n + np.arange(self.doc_count).repeat(self.doc_len)
         keys, self.tfs = np.unique(keys, return_counts=True)
-        self.offsets = np.searchsorted(keys, np.arange(len(self.terms) + 1) * n)
-        self.doc_rows = by_rank[keys % n]
-        for array in (self.doc_len, self.doc_rank, self.tfs, self.offsets, self.doc_rows):
+        self.offsets = tuple(np.searchsorted(keys, np.arange(len(self.terms) + 1) * n).tolist())
+        self.doc_rows = keys % n
+        for array in (self.doc_len, self.tfs, self.doc_rows):
             array.flags.writeable = False
 
     @cached_property
     def postings(self) -> dict[str, list[tuple[str, int]]]:
         """term -> [(doc_id, tf)] in doc_id order; a view derived on first access."""
         pairs = list(zip(map(self.doc_ids.__getitem__, self.doc_rows.tolist()), self.tfs.tolist()))
-        bounds = self.offsets.tolist()
-        return {term: pairs[lo:hi] for term, lo, hi in zip(self.terms, bounds, bounds[1:])}
+        spans = zip(self.terms, self.offsets, self.offsets[1:])
+        return {term: pairs[lo:hi] for term, lo, hi in spans}
 
     @cached_property
     def doc_freq(self) -> dict[str, int]:
         """term -> number of documents holding it; a view derived on first access."""
         return dict(zip(self.terms, np.diff(self.offsets).tolist()))
 
-    @cached_property
-    def bounds(self) -> list[int]:
-        """offsets as a Python list, for per-term reads; a view derived on first access."""
-        return self.offsets.tolist()
-
     def idf(self, term: str) -> float:
         """ln((N + 1) / (df + 1)) + 1; smoothed, strictly positive."""
         row = self.term_rows.get(term)
-        df = 0 if row is None else self.bounds[row + 1] - self.bounds[row]
+        df = 0 if row is None else self.offsets[row + 1] - self.offsets[row]
         return math.log((self.doc_count + 1) / (df + 1)) + 1.0
 
 

@@ -67,7 +67,7 @@ def _accumulate(index: InvertedIndex, query: ExpandedQuery, scorer: ScorerKind, 
     if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     terms = sorted(query.all_terms() & index.term_rows.keys())
-    spans = [index.bounds[i : i + 2] for i in map(index.term_rows.get, terms)]
+    spans = [index.offsets[i : i + 2] for i in map(index.term_rows.get, terms)]
     counts = [hi - lo for lo, hi in spans]
     rows = np.concatenate([index.doc_rows[lo:hi] for lo, hi in spans] or [index.doc_rows[:0]])
     tfs = np.concatenate([index.tfs[lo:hi] for lo, hi in spans] or [index.tfs[:0]])
@@ -130,7 +130,7 @@ def retrieve(
     accumulated = _accumulate(index, query, scorer, threshold)
     scores = accumulated[-1]
     hits = (scores > threshold).nonzero()[0]
-    hits = hits[np.lexsort((index.doc_rank[hits], -scores[hits]))][:limit]
+    hits = hits[np.argsort(-scores[hits], kind="stable")][:limit]  # rows ascend: doc_id order
     return _results(index, accumulated, hits)
 
 

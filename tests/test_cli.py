@@ -391,6 +391,11 @@ class TestExitCodes:
             (["train", "--input", "{tsv}", "--output", "{out}", "--lr", "inf"], "lr_initial"),
             (["search", "--index", "{idx}", "--seed", "valentine", "--scorer", "bm25",
               "--bm25-k1", "inf"], "k1 must be finite"),
+            # checked under the default tfidf scorer too, which reads neither flag
+            (["search", "--index", "{idx}", "--seed", "valentine", "--bm25-k1", "-5",
+              "--bm25-b", "7"], "k1 must be > 0"),
+            (["eval", "--index", "{idx}", "--model", "{vec}", "--seed", "valentine",
+              "--bm25-b", "7"], "b must be"),
         ],
     )
     def test_library_rejects_flag_value(self, workspace, capsys, argv, message):

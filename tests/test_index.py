@@ -109,14 +109,21 @@ class TestIdf:
         for term in list(two_doc_index.postings) + ["unseen"]:
             assert two_doc_index.idf(term) > 0
 
-    def test_bounds_view_equals_offsets(self):
+    def test_offsets_is_a_tuple_of_ints_spanning_each_term(self):
         rng = np.random.default_rng(5)
         for n_docs in (0, 1, 40):
             lists = [list(rng.choice(["a", "b", "c", "d", "e"], size=rng.integers(0, 6)))
                      for _ in range(n_docs)]
             index = build_index(corpus_from_token_lists(lists))
-            assert index.bounds == index.offsets.tolist()
-            assert all(type(bound) is int for bound in index.bounds)
+            assert type(index.offsets) is tuple
+            assert all(type(offset) is int for offset in index.offsets)
+            # term i's postings are the (term, row) keys from i * n up to (i + 1) * n
+            n = max(index.doc_count, 1)
+            keys = np.repeat(np.arange(len(index.terms)), np.diff(index.offsets)) * n
+            keys += index.doc_rows
+            spans = np.searchsorted(keys, np.arange(len(index.terms) + 1) * n)
+            assert index.offsets == tuple(spans.tolist())
+            assert list(index.doc_freq.values()) == np.diff(index.offsets).tolist()
 
     def test_equals_the_idf_ranking_applies(self, monkeypatch):
         """idf(term) is, bit for bit, the idf _accumulate gives each of term's postings."""
@@ -447,8 +454,9 @@ def _index_outcome(load, text):
         index = load(text)
     except FormatError as exc:
         return str(exc)
-    arrays = (index.doc_len, index.doc_rank, index.tfs, index.offsets, index.doc_rows)
-    return list(index.doc_store.items()), index.terms, [array.tolist() for array in arrays]
+    arrays = (index.doc_len, index.tfs, index.doc_rows)
+    return (list(index.doc_store.items()), index.terms, index.offsets,
+            [array.tolist() for array in arrays])
 
 
 _GOOD = "D a 2018-02-01 0 a\n"
@@ -527,6 +535,26 @@ def test_build_equals_nested_loop_reference(specs):
     assert dict(zip(index.doc_ids, index.doc_len.tolist())) == doc_len
     assert index.terms == sorted(postings)
     assert index.avg_doc_len == (sum(doc_len.values()) / len(docs) if docs else 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_DOC_IDS, _TOKENS), max_size=8, unique_by=lambda doc: doc[0]),
+       st.randoms(use_true_random=False), _TOKENS)
+def test_build_ignores_document_order(specs, random, seeds):
+    """Rows follow doc_id order, so a permutation of the documents changes only doc_store's
+    order, and with it the order save_index writes."""
+    docs = [ItemDocument.create(doc_id, date(2018, 2, 1), "", " ".join(tokens))
+            for doc_id, tokens in specs]
+    shuffled = random.sample(docs, len(docs))
+    a, b = (build_index(MonthlyCorpus((2018, 2), tuple(order))) for order in (docs, shuffled))
+    assert list(b.doc_store.values()) == shuffled
+    assert a.doc_ids == b.doc_ids == sorted(doc.doc_id for doc in docs)
+    assert a.terms == b.terms and a.offsets == b.offsets
+    for name in ("doc_len", "tfs", "doc_rows"):
+        assert getattr(a, name).tolist() == getattr(b, name).tolist()
+    query = ExpandedQuery(tuple(sorted(set(seeds))), {"a": 0.5, "z": 0.25})
+    for scorer in (ranking.TfIdf(), ranking.Bm25()):
+        assert ranking.retrieve(a, query, scorer) == ranking.retrieve(b, query, scorer)
 
 
 class TestSelfConsistency:

@@ -188,6 +188,8 @@ def negative_sampling_distribution(counts: np.ndarray) -> np.ndarray:
 def _pairs(sentences: list[list[int]], window: int) -> tuple[np.ndarray, np.ndarray]:
     """(center, context) id pairs in window, by document, then position, then context position."""
     lengths = np.array([len(s) for s in sentences], dtype=np.intp)
+    # an offset past the longest sentence is masked out everywhere: no memory for it
+    window = min(window, int(lengths.max(initial=0)))
     ids = np.array([i for s in sentences for i in s], dtype=np.intp)
     ends = np.repeat(np.cumsum(lengths), lengths)
     starts = ends - np.repeat(lengths, lengths)
@@ -323,7 +325,7 @@ def _rows(rows: list[str], dim: int, line: int, words: dict[str, None]) -> np.nd
     return matrix
 
 
-def load_vectors(source: PathOrFile, month_key: MonthKey | None = None) -> EmbeddingModel:
+def load_vectors(source: PathOrFile) -> EmbeddingModel:
     """Read a word2vec text file back into an EmbeddingModel.
 
     Raises FormatError (with the offending line number) on malformed content, including
@@ -347,13 +349,16 @@ def load_vectors(source: PathOrFile, month_key: MonthKey | None = None) -> Embed
         )
 
     words: dict[str, None] = {}
-    matrix = np.empty((vocab_size, dim))
+    matrix = np.empty((0, dim))  # sized once a row has shown the header's dim
     for lo in range(0, vocab_size, BLOCK_ROWS):
         block = lines[1 + lo : 1 + lo + BLOCK_ROWS]
         try:
-            matrix[lo : lo + len(block)] = _rows(block, dim, lo + 2, words)
+            rows = _rows(block, dim, lo + 2, words)
         except (FormatError, DimensionMismatch):  # re-read row by row to name the first fault
             for i, row in enumerate(block):
                 _rows([row], dim, lo + 2 + i, words)
             raise
-    return EmbeddingModel(words, matrix, month_key)
+        if lo == 0:
+            matrix = np.empty((vocab_size, dim))
+        matrix[lo : lo + len(block)] = rows
+    return EmbeddingModel(words, matrix)

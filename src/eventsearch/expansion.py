@@ -27,7 +27,7 @@ DEFAULT_MIN_SIM = 0.6
 
 
 class StopwordList:
-    """Set of lowercase function words; built-in list ships as a data file."""
+    """Set of lowercase function words, read one per line (blank and "#" lines skipped)."""
 
     def __init__(self, words: Iterable[str]):
         cleaned = set()
@@ -38,24 +38,16 @@ class StopwordList:
         self._words = frozenset(cleaned)
 
     @classmethod
-    @cache  # parsed once per process and shared: the list is immutable
+    @cache  # read once per process and shared: the list is immutable
     def built_in(cls) -> "StopwordList":
-        text = resources.files("eventsearch").joinpath("data/stopwords.txt").read_text("utf-8")
-        return cls._parse(text.splitlines())
+        with resources.as_file(resources.files("eventsearch") / "data/stopwords.txt") as path:
+            return cls.from_file(path)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "StopwordList":
         with reader(path) as handle:
-            return cls._parse(handle)
-
-    @classmethod
-    def _parse(cls, lines: Iterable[str]) -> "StopwordList":
-        words = []
-        for raw in lines:
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                words.append(line)
-        return cls(words)
+            lines = [raw.strip() for raw in handle]
+        return cls(line for line in lines if line and not line.startswith("#"))
 
     def __contains__(self, word: str) -> bool:
         return word in self._words

@@ -85,12 +85,9 @@ def save_index(index: InvertedIndex, dest: PathOrFile) -> None:
     with writer(dest) as handle:
         handle.write(f"{FORMAT} {format_month(index.month_key)} {index.doc_count}\n")
         for doc in index.doc_store.values():
-            category_tokens = len(tokenize(doc.category, ""))
-            token_list = " ".join(doc.tokens)
-            sep = " " if token_list else ""
-            handle.write(
-                f"D {doc.doc_id} {doc.sold_date.isoformat()} {category_tokens}{sep}{token_list}\n"
-            )
+            category_tokens = str(len(tokenize(doc.category, "")))
+            fields = ("D", doc.doc_id, doc.sold_date.isoformat(), category_tokens, *doc.tokens)
+            handle.write(" ".join(fields) + "\n")
 
 
 def _parse_doc_line(line: str, lineno: int, month_key: MonthKey,
@@ -130,10 +127,6 @@ def load_index(source: PathOrFile) -> InvertedIndex:
     """Read an index file back, validating every line, and rebuild its postings."""
     lines = read_lines(source, "index")
     header = lines[0].split(" ")
-    if header[0] == "INDEXv1":
-        raise FormatError(
-            "index format v1 is no longer read; rebuild the file with 'eventsearch index'", line=1
-        )
     if len(header) != 3 or header[0] != FORMAT:
         raise FormatError(f"expected '{FORMAT} <year>-<month> N', got {lines[0]!r}", line=1)
     try:

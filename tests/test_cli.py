@@ -415,6 +415,15 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_corpus_without_documents(self, tmp_path, capsys):
+        corpus = tmp_path / "comments.tsv"
+        corpus.write_text("# a corpus\n# of comments only\n", encoding="utf-8")
+        output = tmp_path / "o.idx"
+        code, out, err = run(capsys, "index", "--input", str(corpus), "--output", str(output))
+        assert (code, out) == (2, "")
+        assert "corpus contains no documents" in err
+        assert not output.exists()
+
     def test_malformed_model_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.vec"
         bad.write_text("not a vector file\n", encoding="utf-8")

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -85,6 +86,10 @@ class TestEmbeddingModel:
         # np.linalg.norm squares the components: these norms would read inf, and sim() 1.0
         with pytest.raises(ValueError, match="norm that overflows"):
             EmbeddingModel(["a", "b"], [[1.0, 2.0], row])
+
+    def test_vector_out_of_vocabulary(self):
+        with pytest.raises(OutOfVocabulary):
+            model_from({"a": (1.0, 0.0)}).vector("zzz-absent")
 
     def test_empty_model_keeps_its_dim(self):
         model = EmbeddingModel([], np.empty((0, 7)))
@@ -327,6 +332,21 @@ class TestVectorFileFormat:
         with pytest.raises(FormatError) as excinfo:
             load_vectors(io.StringIO("not a header\na 1.0\n"))
         assert excinfo.value.line == 1
+
+    def test_zero_dim_header(self):
+        with pytest.raises(FormatError, match="invalid header sizes") as excinfo:
+            load_vectors(io.StringIO("2 0\na\nb\n"))
+        assert excinfo.value.line == 1
+
+    def test_header_dim_no_row_has(self):
+        # the matrix is allocated only after a row has shown the header's dim
+        with pytest.raises(DimensionMismatch) as excinfo:
+            load_vectors(io.StringIO("1 1000000000000\nw 1.0\n"))
+        assert excinfo.value.line == 2
+
+    def test_no_rows_keep_the_header_dim(self):
+        model = load_vectors(io.StringIO("0 1000000000000\n"))
+        assert len(model) == 0 and model.dim == 10**12 and model.month_key is None
 
     def test_row_count_mismatch(self):
         with pytest.raises(FormatError):
@@ -652,6 +672,22 @@ class TestPairs:
     def test_matches_nested_loops(self, sentences, window):
         centers, contexts = _pairs(sentences, window)
         assert list(zip(centers.tolist(), contexts.tolist())) == reference_pairs(sentences, window)
+
+    def test_window_past_the_longest_sentence_changes_nothing(self):
+        sentences = [[0, 1, 2], [3, 4], [5, 6, 7, 8]]
+        longest = _pairs(sentences, 4)
+        for window in (5, 10**5):
+            for got, want in zip(_pairs(sentences, window), longest):
+                assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    def test_memory_does_not_grow_past_the_longest_sentence(self):
+        tracemalloc.start()
+        try:
+            _pairs([[0, 1, 2], [3, 4], [5, 6, 7, 8]], 10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 10), max_size=6), st.integers(1, 6))

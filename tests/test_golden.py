@@ -1,6 +1,7 @@
 """Golden CLI transcripts: the exact stdout and exit code of each call, and the sha256 of the
-index file, over a fixed 30-line corpus and a hand-written vector file with planted clusters
-(valentine, silver/gold, winter, coffee). Nothing in the fixture is trained.
+index file, over a fixed 30-line corpus, a hand-written vector file with planted clusters
+(valentine, silver/gold, winter, coffee) and a one-word stop word file. Nothing in the fixture
+is trained.
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -39,13 +40,17 @@ CALLS = [
     ["search", "--index", "{missing}", "--seed", "valentine"],
     ["eval", "--index", "{index}", "--model", "{model}", "--seed", "valentine"],
     ["eval", "--index", "{index}", "--model", "{model}", "--seed", "winter", "--scorer", "bm25"],
+    ["expand", "--model", "{model}", "--seed", "the valentine jewelry"],
+    ["expand", "--model", "{model}", "--seed", "valentine jewelry", "--stopwords", "{stops}"],
+    SEARCH + ["the heart", "--stopwords", "{stops}"],
 ]
 
 
 def run_calls(workdir: Path):
     """(index sha256, [{argv, exit, stdout}]) for CALLS run in order in workdir."""
     paths = {"corpus": GOLDEN / "corpus.tsv", "model": GOLDEN / "model.vec",
-             "index": workdir / "2018-02.idx", "missing": workdir / "missing.idx"}
+             "index": workdir / "2018-02.idx", "missing": workdir / "missing.idx",
+             "stops": GOLDEN / "stopwords.txt"}
     outcomes = []
     for argv in CALLS:
         out = io.StringIO()

@@ -206,7 +206,7 @@ class TestPersistence:
 
     def test_v1_file_rejected(self):
         text = "INDEXv1 2018-02 1\nD d1 2018-02-01 0 a\nT a 1 d1:1\n"
-        with pytest.raises(FormatError, match="eventsearch index") as excinfo:
+        with pytest.raises(FormatError, match="expected 'INDEXv2 ") as excinfo:
             load_index(io.StringIO(text))
         assert excinfo.value.line == 1
 
@@ -298,10 +298,13 @@ class TestPersistence:
             save_index(index, io.StringIO())
 
     def test_file_holds_header_and_documents_only(self, two_doc_index):
+        empty = ItemDocument.create("d0002", date(2018, 2, 3), "", "")  # no tokens at all
+        index = InvertedIndex((2018, 2), {**two_doc_index.doc_store, "d0002": empty})
         out = io.StringIO()
-        save_index(two_doc_index, out)
+        save_index(index, out)
         assert out.getvalue() == (
-            "INDEXv2 2018-02 2\nD d0000 2018-02-01 0 a b a\nD d0001 2018-02-02 0 b c\n"
+            "INDEXv2 2018-02 3\nD d0000 2018-02-01 0 a b a\nD d0001 2018-02-02 0 b c\n"
+            "D d0002 2018-02-03 0\n"
         )
 
     def test_failed_save_keeps_old_file(self, two_doc_index, tmp_path):

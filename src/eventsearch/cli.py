@@ -23,7 +23,7 @@ from .index import build_index, load_index, save_index
 from .ranking import Bm25, TfIdf, format_results, retrieve
 from .textfile import reader, writer
 
-log = logging.getLogger(__name__)
+log = logging.getLogger("eventsearch.cli")  # not "__main__" under python -m
 
 
 class _Parser(argparse.ArgumentParser):

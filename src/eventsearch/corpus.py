@@ -14,6 +14,7 @@ from datetime import date
 from typing import Iterable
 
 from .errors import DuplicateDocumentId
+from .textfile import FIELD
 
 # Maximal runs of Unicode alphanumerics; underscore and all punctuation split.
 _ALNUM_RUN = re.compile(r"[^\W_]+", re.UNICODE)
@@ -22,17 +23,10 @@ _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 MonthKey = tuple[int, int]
 
 
-def _split(text: str) -> list[str]:
+def tokenize(text: str) -> list[str]:
+    """The package's one normalizer: lowercases text and splits it on any non-alphanumeric
+    character, dropping empty fragments. Digit-only and single-character tokens are kept."""
     return _ALNUM_RUN.findall(text.lower())
-
-
-def tokenize(category: str, title: str) -> list[str]:
-    """Normalized bag-of-words tokens: category tokens first, then title tokens.
-
-    Lowercases, splits on any non-alphanumeric character, and drops empty
-    fragments. Digit-only and single-character tokens are kept.
-    """
-    return _split(category) + _split(title)
 
 
 def format_month(month_key: MonthKey) -> str:
@@ -72,8 +66,8 @@ class ItemDocument:
 
     @classmethod
     def create(cls, doc_id: str, sold_date: date, category: str, title: str) -> "ItemDocument":
-        """Build a document with tokens derived from category and title."""
-        return cls(doc_id, sold_date, category, title, tuple(tokenize(category, title)))
+        """Build a document whose tokens are category's, then title's."""
+        return cls(doc_id, sold_date, category, title, tuple(tokenize(category) + tokenize(title)))
 
     @property
     def month_key(self) -> MonthKey:
@@ -109,12 +103,14 @@ class IngestResult:
 def parse_record_line(line: str) -> ItemDocument:
     """Parse one TAB-separated record: doc_id, sold_date, category, title.
 
-    Raises ValueError on wrong field count or a bad date.
+    Raises ValueError on wrong field count, an empty or whitespace-holding doc_id, or a bad date.
     """
     fields = line.split("\t")
     if len(fields) != 4:
         raise ValueError(f"expected 4 tab-separated fields, got {len(fields)}")
     doc_id, date_text, category, title = fields
+    if not FIELD.fullmatch(doc_id):
+        raise ValueError(f"invalid doc_id {doc_id!r}")
     return ItemDocument.create(doc_id, parse_date(date_text), category, title)
 
 

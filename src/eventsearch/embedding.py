@@ -344,9 +344,8 @@ def load_vectors(source: PathOrFile) -> EmbeddingModel:
     if dim < 1:
         raise FormatError(f"invalid header sizes {vocab_size} {dim}", line=1)
     if len(lines) - 1 != vocab_size:
-        raise FormatError(
-            f"header promises {vocab_size} rows, file has {len(lines) - 1}", line=len(lines)
-        )
+        raise FormatError(f"header promises {vocab_size} rows, file has {len(lines) - 1}",
+                          line=min(vocab_size, len(lines) - 1) + 2)
 
     words: dict[str, None] = {}
     matrix = np.empty((0, dim))  # sized once a row has shown the header's dim

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .corpus import format_month, tokenize
 from .embedding import EmbeddingModel, _integer, _neighbors
-from .errors import AllStopwords, EmptySeed, NotInQuery
+from .errors import AllStopwords, EmptySeed, FormatError, NotInQuery
 from .textfile import reader
 
 log = logging.getLogger(__name__)
@@ -26,16 +26,18 @@ DEFAULT_K = 4
 DEFAULT_MIN_SIM = 0.6
 
 
+def _stop_word(word: str) -> str:
+    """word, if it is non-empty, lowercase and whitespace-free; else ValueError."""
+    if word != word.lower() or any(ch.isspace() for ch in word) or not word:
+        raise ValueError(f"stop words must be lowercase and whitespace-free: {word!r}")
+    return word
+
+
 class StopwordList:
     """Set of lowercase function words, read one per line (blank and "#" lines skipped)."""
 
     def __init__(self, words: Iterable[str]):
-        cleaned = set()
-        for word in words:
-            if word != word.lower() or any(ch.isspace() for ch in word) or not word:
-                raise ValueError(f"stop words must be lowercase and whitespace-free: {word!r}")
-            cleaned.add(word)
-        self._words = frozenset(cleaned)
+        self._words = frozenset(map(_stop_word, words))
 
     @classmethod
     @cache  # read once per process and shared: the list is immutable
@@ -45,9 +47,16 @@ class StopwordList:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "StopwordList":
+        """The words of path; a bad word raises FormatError naming path and its line."""
         with reader(path) as handle:
-            lines = [raw.strip() for raw in handle]
-        return cls(line for line in lines if line and not line.startswith("#"))
+            words = {lineno: word for lineno, raw in enumerate(handle, start=1)
+                     if (word := raw.strip()) and not word.startswith("#")}
+        for lineno, word in words.items():
+            try:
+                _stop_word(word)
+            except ValueError as exc:
+                raise FormatError(f"{path}: {exc}", line=lineno) from None
+        return cls(words.values())
 
     def __contains__(self, word: str) -> bool:
         return word in self._words
@@ -98,16 +107,10 @@ def seed_only_query(
         raise ValueError(f"k must be in 1..4, got {k}")
     if not 0.0 < min_sim < 1.0:
         raise ValueError(f"min_sim must be in (0, 1), got {min_sim}")
-    terms: list[str] = []
-    seen = set()
-    for raw in seed:
-        for token in tokenize("", raw):
-            if token not in seen:
-                seen.add(token)
-                terms.append(token)
+    terms = tuple(dict.fromkeys([token for raw in seed for token in tokenize(raw)]))
     if not terms:
         raise EmptySeed("no seed terms left after normalization")
-    return ExpandedQuery(tuple(terms), {})
+    return ExpandedQuery(terms, {})
 
 
 def expand_query(

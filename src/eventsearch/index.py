@@ -85,7 +85,7 @@ def save_index(index: InvertedIndex, dest: PathOrFile) -> None:
     with writer(dest) as handle:
         handle.write(f"{FORMAT} {format_month(index.month_key)} {index.doc_count}\n")
         for doc in index.doc_store.values():
-            category_tokens = str(len(tokenize(doc.category, "")))
+            category_tokens = str(len(tokenize(doc.category)))
             fields = ("D", doc.doc_id, doc.sold_date.isoformat(), category_tokens, *doc.tokens)
             handle.write(" ".join(fields) + "\n")
 
@@ -115,7 +115,7 @@ def _parse_doc_line(line: str, lineno: int, month_key: MonthKey,
     cat_count = int(cat_count_text)
     if cat_count > len(tokens):
         raise FormatError(f"category token count {cat_count} out of range", line=lineno)
-    if tokenize("", " ".join(tokens)) != tokens:
+    if tokenize(" ".join(tokens)) != tokens:
         raise FormatError(f"tokens are not in normalized form: {tokens}", line=lineno)
     # raw category/title text is not stored; rebuild normalized forms from tokens
     category = " ".join(tokens[:cat_count])
@@ -145,7 +145,6 @@ def load_index(source: PathOrFile) -> InvertedIndex:
             raise FormatError(f"duplicate doc_id {doc.doc_id!r}", line=lineno)
         documents[doc.doc_id] = doc
     if len(documents) != doc_count:
-        raise FormatError(
-            f"header promises {doc_count} documents, found {len(documents)}", line=len(lines) + 1
-        )
+        raise FormatError(f"header promises {doc_count} documents, found {len(documents)}",
+                          line=min(doc_count, len(documents)) + 2)
     return InvertedIndex(month_key, documents)

@@ -21,9 +21,9 @@ FIELD = re.compile(r"\S+")
 
 @contextmanager
 def reader(path: str | Path, newline: str | None = None) -> Iterator[IO[str]]:
-    """A handle reading the UTF-8 file at path, as open() with newline gives it. A byte
-    that is not UTF-8 raises FormatError naming path and the first such byte's line."""
-    with open(path, encoding="utf-8", newline=newline) as handle, _decoding(handle):
+    """The UTF-8 file at path, less one leading byte order mark, as open() with newline reads
+    it. A byte that is not UTF-8 raises FormatError naming path and the first such byte's line."""
+    with open(path, encoding="utf-8-sig", newline=newline) as handle, _decoding(handle):
         yield handle
 
 

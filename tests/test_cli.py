@@ -1,6 +1,7 @@
 """CLI subcommands as thin adapters over the library, plus exit codes."""
 
 import argparse
+import codecs
 import contextlib
 import io
 import logging
@@ -82,6 +83,16 @@ class TestIngestCommand:
         code, out, err = run(capsys, "ingest", "--input", str(other),
                              "--out-dir", str(workspace / "lf"))
         assert (code, out, err.replace(str(other), "")) == (
+            base[0], base[1], base[2].replace(str(workspace / "corpus.tsv"), ""))
+
+    def test_leading_byte_order_mark_dropped(self, workspace, capsys):
+        base = run(capsys, "ingest", "--input", str(workspace / "corpus.tsv"),
+                   "--out-dir", str(workspace / "plain"))
+        marked = workspace / "marked.tsv"
+        marked.write_bytes(codecs.BOM_UTF8 + CORPUS.encode("utf-8"))
+        code, out, err = run(capsys, "ingest", "--input", str(marked),
+                             "--out-dir", str(workspace / "plain"))
+        assert (code, out, err.replace(str(marked), "")) == (
             base[0], base[1], base[2].replace(str(workspace / "corpus.tsv"), ""))
 
     def test_failed_write_keeps_old_partition(self, workspace, capsys, monkeypatch):
@@ -262,6 +273,17 @@ class TestIndexAndSearchCommands:
         assert index.doc_count == 4
         assert index.doc_freq["valentine"] == 2
 
+    def test_index_skips_doc_ids_no_artifact_can_hold(self, workspace, capsys):
+        corpus, index_path = workspace / "ids.tsv", workspace / "ids.idx"
+        bad = ["a b", "", "a\u00a0"]
+        rows = [f"{doc_id}\t2018-02-01\tcat\tred heart\n" for doc_id in [*bad, "good"]]
+        corpus.write_text("".join(rows), encoding="utf-8")
+        code, out, err = run(capsys, "index", "--input", str(corpus), "--output", str(index_path))
+        assert (code, out) == (0, "")
+        for lineno, doc_id in enumerate(bad, 1):
+            assert f"WARNING {corpus}:{lineno}: skipped: invalid doc_id {doc_id!r}\n" in err
+        assert list(load_index(index_path).doc_store) == ["good"]
+
     def test_search_matches_library(self, workspace, capsys):
         index_path = self._build(workspace, capsys)
         code, out, _ = run(
@@ -288,13 +310,15 @@ class TestIndexAndSearchCommands:
         index_path = self._build(workspace, capsys)
         bad = workspace / "bad.stop"
         bad.write_text("Bad\n", encoding="utf-8")
-        for stop_file, expected in ((workspace / "missing.stop", 2), (bad, 1)):
+        for stop_file, expected in ((workspace / "missing.stop", 2), (bad, 2)):
             code, out, err = run(
                 capsys, "search", "--index", str(index_path), "--seed", "valentine",
                 "--stopwords", str(stop_file),
             )
             assert (code, out) == (expected, "")
             assert "error" in err
+        assert err == (f"eventsearch: error: line 1: {bad}: stop words must be lowercase and "
+                       "whitespace-free: 'Bad'\n")
 
     def test_threshold_above_everything_prints_nothing(self, workspace, capsys):
         index_path = self._build(workspace, capsys)
@@ -465,13 +489,21 @@ class TestExitCodes:
 
     def test_module_entry_point(self, workspace):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        proc = subprocess.run(
-            [sys.executable, "-m", "eventsearch.cli", "neighbors", "--model",
-             str(workspace / "feb.vec"), "--word", "valentine", "--min-sim", "0.5"],
-            capture_output=True, text=True, env=env,
-        )
+
+        def module(*argv):
+            return subprocess.run([sys.executable, "-m", "eventsearch.cli", *argv],
+                                  capture_output=True, text=True, env=env)
+
+        proc = module("neighbors", "--model", str(workspace / "feb.vec"), "--word", "valentine",
+                      "--min-sim", "0.5")
         assert proc.returncode == 0
         assert "jewellery\t0.800000" in proc.stdout
+        corpus = workspace / "corpus.tsv"
+        proc = module("index", "--input", str(corpus), "--month", "2018-02",
+                      "--output", str(workspace / "feb.idx"))
+        assert proc.returncode == 0
+        assert "INFO indexed 2018-02: 4 docs" in proc.stderr
+        assert f"WARNING {corpus}:7: skipped: expected 4 tab-separated fields" in proc.stderr
 
 
 COMMAND_ARGV = {

@@ -1,5 +1,6 @@
 """Embedding training, similarity queries, and the word2vec text format."""
 
+import codecs
 import io
 import math
 import tracemalloc
@@ -352,6 +353,21 @@ class TestVectorFileFormat:
         with pytest.raises(FormatError):
             load_vectors(io.StringIO("3 2\na 1.0 2.0\nb 3.0 4.0\n"))
 
+    @pytest.mark.parametrize("text", ["3 2\na 1 2\n", "1 2\na 1 2\nb 1 2\nc 1 2\n"])
+    def test_row_count_mismatch_names_the_line_after_the_promised_or_present_rows(self, text):
+        with pytest.raises(FormatError, match="header promises") as excinfo:
+            load_vectors(io.StringIO(text))
+        assert excinfo.value.line == 3
+
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "m.vec"
+        path.write_bytes(codecs.BOM_UTF8 + b"1 1\na 1.0\n")
+        assert load_vectors(path).terms == ["a"]
+        path.write_bytes(codecs.BOM_UTF8 + b"1 1\na\xff 1.0\n")
+        with pytest.raises(FormatError, match="is not UTF-8") as excinfo:
+            load_vectors(path)
+        assert excinfo.value.line == 2
+
     def test_non_numeric_component(self):
         with pytest.raises(FormatError) as excinfo:
             load_vectors(io.StringIO("1 2\na 1.0 oops\n"))
@@ -520,9 +536,8 @@ def reference_load_vectors(text):
     lines = text.split("\n")[:-1]
     vocab_size, dim = map(int, lines[0].split(" "))
     if len(lines) - 1 != vocab_size:
-        raise FormatError(
-            f"header promises {vocab_size} rows, file has {len(lines) - 1}", line=len(lines)
-        )
+        raise FormatError(f"header promises {vocab_size} rows, file has {len(lines) - 1}",
+                          line=min(vocab_size, len(lines) - 1) + 2)
     words, matrix = {}, np.empty((vocab_size, dim))
     for lineno, row in enumerate(lines[1:], start=2):
         fields = row.split(" ")

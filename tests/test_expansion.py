@@ -1,5 +1,6 @@
 """Query expansion: candidate selection, weight merging, and delta."""
 
+import codecs
 import logging
 import math
 import os
@@ -352,6 +353,20 @@ class TestStopwordList:
         with pytest.raises(FormatError, match=re.escape(f"line 3: {path} is not UTF-8")) as excinfo:
             StopwordList.from_file(path)
         assert excinfo.value.line == 3
+
+    @pytest.mark.parametrize("word", ["Bad", "red heart"])
+    def test_from_file_bad_word_names_path_and_line(self, tmp_path, word):
+        path = tmp_path / "stops.txt"
+        path.write_text(f"# comment\nfoo\n{word}\nbar\n", encoding="utf-8")
+        message = f"line 3: {path}: stop words must be lowercase and whitespace-free: {word!r}"
+        with pytest.raises(FormatError, match=re.escape(message)) as excinfo:
+            StopwordList.from_file(path)
+        assert excinfo.value.line == 3
+
+    def test_from_file_drops_a_leading_byte_order_mark(self, tmp_path):
+        path = tmp_path / "stops.txt"
+        path.write_bytes(codecs.BOM_UTF8 + b"the\nfoo\n")
+        assert list(StopwordList.from_file(path)) == ["foo", "the"]
 
     def test_rejects_uppercase(self):
         with pytest.raises(ValueError):

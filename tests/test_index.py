@@ -1,5 +1,6 @@
 """Inverted index construction, lookups, and persistence."""
 
+import codecs
 import contextlib
 import io
 import math
@@ -279,6 +280,20 @@ class TestPersistence:
                 load_index(handle)
         assert excinfo.value.line is None
 
+    def test_document_count_mismatch_names_the_line_after_the_promised_or_present_rows(self):
+        rows = "".join(f"D d{i} 2018-02-01 0 a\n" for i in range(3))
+        for count, line in ((1, 3), (5, 5)):
+            with pytest.raises(FormatError, match="header promises") as excinfo:
+                load_index(io.StringIO(f"INDEXv2 2018-02 {count}\n{rows}"))
+            assert excinfo.value.line == line
+
+    def test_leading_byte_order_mark_dropped(self, two_doc_index, tmp_path):
+        out = io.StringIO()
+        save_index(two_doc_index, out)
+        path = tmp_path / "idx.txt"
+        path.write_bytes(codecs.BOM_UTF8 + out.getvalue().encode("utf-8"))
+        _assert_same_index(two_doc_index, load_index(path))
+
     def test_cut_inside_last_line(self):
         text = "INDEXv2 2018-02 1\nD d1 2018-02-01 0 ab"  # complete file ends "abc\n"
         with pytest.raises(FormatError) as excinfo:
@@ -387,9 +402,8 @@ def reference_load_index(text):
         documents[doc_id] = ItemDocument(doc_id, sold, " ".join(tokens[:cat_count]),
                                          " ".join(tokens[cat_count:]), tuple(tokens))
     if len(documents) != doc_count:
-        raise FormatError(
-            f"header promises {doc_count} documents, found {len(documents)}", line=len(lines) + 1
-        )
+        raise FormatError(f"header promises {doc_count} documents, found {len(documents)}",
+                          line=min(doc_count, len(documents)) + 2)
     return build_index(MonthlyCorpus((2018, 2), tuple(documents.values())))
 
 
@@ -479,6 +493,7 @@ _GOOD = "D a 2018-02-01 0 a\n"
 @example(f"INDEXv2 2018-02 2\n{_GOOD}D a 2018-02-02 0 b\n")
 @example(f"INDEXv2 2018-02 3\n{_GOOD}D b 2018-02-01 1 b c\n")
 @example(f"INDEXv2 2018-02 3\n{_GOOD}D b 2018-02-01 1 b c\nD c 2018-02-02 0\n")
+@example(f"INDEXv2 2018-02 1\n{_GOOD}D b 2018-02-01 0 a\n")  # a document more than promised
 def test_load_index_matches_line_by_line_reference(text):
     """The same documents and postings arrays, or the same error message and line."""
     got = _index_outcome(lambda text: load_index(io.StringIO(text)), text)

@@ -313,8 +313,10 @@ def _rows(rows: list[str], dim: int, line: int, words: dict[str, None]) -> np.nd
     text = " ".join([row.partition(" ")[2] for row in rows])
     if not text.isascii() or any(c in text for c in "_\t\r\x0b\x0c"):  # float() reads these
         raise FormatError(f"number in a form never written, in row {word!r}", line=line)
-    try:
-        matrix = np.array(text.split(" "), np.float64).reshape(-1, dim)
+    try:  # loadtxt skips an empty line and strips \x1c-\x1f around a number; float() refuses both
+        if not text or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+            raise ValueError
+        matrix = np.loadtxt([text], np.float64, delimiter=" ", comments=None).reshape(-1, dim)
     except ValueError:
         raise FormatError(f"non-numeric vector component in row {word!r}", line=line) from None
     if not np.isfinite(_norms(matrix)).all():  # a nan or inf component gives one too

@@ -136,6 +136,9 @@ def load_index(source: PathOrFile) -> InvertedIndex:
     if not (header[2].isascii() and header[2].isdigit()):
         raise FormatError(f"invalid document count {header[2]!r}", line=1)
     doc_count = int(header[2])
+    if len(lines) - 1 != doc_count:
+        raise FormatError(f"header promises {doc_count} documents, found {len(lines) - 1}",
+                          line=min(doc_count, len(lines) - 1) + 2)
 
     documents: dict[str, ItemDocument] = {}
     dates: dict[str, date] = {}  # each date text that passed its checks, parsed once
@@ -144,7 +147,4 @@ def load_index(source: PathOrFile) -> InvertedIndex:
         if doc.doc_id in documents:
             raise FormatError(f"duplicate doc_id {doc.doc_id!r}", line=lineno)
         documents[doc.doc_id] = doc
-    if len(documents) != doc_count:
-        raise FormatError(f"header promises {doc_count} documents, found {len(documents)}",
-                          line=min(doc_count, len(documents)) + 2)
     return InvertedIndex(month_key, documents)

@@ -8,7 +8,9 @@ factor: 1 for seed terms, the expansion similarity weight otherwise.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -40,13 +42,14 @@ class Bm25:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
 
 
-ScorerKind = Union[TfIdf, Bm25]
-
-
 class RankedResult(NamedTuple):
     doc_id: str
     score: float
     matched_terms: tuple[tuple[str, float], ...]
+
+
+ScorerKind = Union[TfIdf, Bm25]
+_result = partial(tuple.__new__, RankedResult)  # RankedResult._make without its Python frame
 
 
 def _contribution(scorer: ScorerKind, tf, idf, delta, doc_len, avgdl: float):
@@ -88,11 +91,11 @@ def _results(index: InvertedIndex, accumulated, hits: np.ndarray) -> list[Ranked
     at = position[rows]
     kept = (at >= 0).nonzero()[0]
     term_of = np.arange(len(terms)).repeat(counts)[kept]
-    matched = [[] for _ in hits]
+    matched = [()] * len(hits)
     for i, t, value in zip(at[kept].tolist(), term_of.tolist(), contribution[kept].tolist()):
-        matched[i].append((terms[t], value))
+        matched[i] += ((terms[t], value),)
     doc_ids = map(index.doc_ids.__getitem__, hits.tolist())
-    return list(map(RankedResult._make, zip(doc_ids, scores[hits].tolist(), map(tuple, matched))))
+    return list(map(_result, zip(doc_ids, scores[hits].tolist(), matched)))
 
 
 def score_document(
@@ -105,7 +108,7 @@ def score_document(
     retrieve's result for the document, whether or not retrieve would keep it."""
     if doc_id not in index.doc_store:
         raise UnknownDocument(doc_id)
-    row = np.array([index.doc_ids.index(doc_id)])
+    row = np.array([bisect_left(index.doc_ids, doc_id)])  # doc_ids is sorted in Python's order
     return _results(index, _accumulate(index, query, scorer, 0.0), row)[0]
 
 

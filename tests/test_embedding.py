@@ -623,6 +623,11 @@ def _outcome(load, text):
 @example("4 2\na 1.0 2.0\nb nan 1.0\nc 1.0 2.0\nd 1.0\n")  # a later block's count fault
 @example("2 1\nb junk\nx\ty 1.0\n")  # a bad word after a non-numeric row, in one block
 @example("3 1\na 1.0\nb 2.0\na 3.0\n")  # a word repeated in the next block of two rows
+@example("1 1\n_ \n")  # an empty body, a line that loadtxt would skip
+@example("2 2\na 1.0\x1c 2.0\nb 1.0 2.0\n")  # \x1c-\x1f: loadtxt strips them, float() refuses
+@example("2 2\na 1.0 2.0\nb \x1f1.0 2.0\n")  # the same, in a later row of the block
+@example("1 2\na 1.0 2.0#\n")  # a comment mark to loadtxt by default
+@example('1 2\na 1.0 "2.0"\n')  # a quoted field to loadtxt with quotechar='"'
 def test_load_vectors_matches_line_by_line_reference(block_rows, text):
     """Same terms and matrix bytes, or the same error type, message and line."""
     def bulk(text):

@@ -213,8 +213,8 @@ class TestPersistence:
 
     def test_stray_line_rejected(self):
         for text, line in (
-            ("INDEXv2 2018-02 1\nD d1 2018-02-01 0 a\nT a 1 d1:1\n", 3),
-            ("INDEXv2 2018-02 2\nD d1 2018-02-01 0 a\n\nD d2 2018-02-01 0 a\n", 3),
+            ("INDEXv2 2018-02 2\nD d1 2018-02-01 0 a\nT a 1 d1:1\n", 3),
+            ("INDEXv2 2018-02 3\nD d1 2018-02-01 0 a\n\nD d2 2018-02-01 0 a\n", 3),
             ("INDEXv2 2018-02 1\nX d1 2018-02-01 0 a\n", 2),
         ):
             with pytest.raises(FormatError) as excinfo:
@@ -371,6 +371,9 @@ def reference_load_index(text):
     a complete file whose header is 'INDEXv2 2018-02 <n>'."""
     lines = text.split("\n")[:-1]
     doc_count = int(lines[0].split(" ")[2])
+    if len(lines) - 1 != doc_count:
+        raise FormatError(f"header promises {doc_count} documents, found {len(lines) - 1}",
+                          line=min(doc_count, len(lines) - 1) + 2)
     documents = {}
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split(" ")
@@ -401,9 +404,6 @@ def reference_load_index(text):
             raise FormatError(f"duplicate doc_id {doc_id!r}", line=lineno)
         documents[doc_id] = ItemDocument(doc_id, sold, " ".join(tokens[:cat_count]),
                                          " ".join(tokens[cat_count:]), tuple(tokens))
-    if len(documents) != doc_count:
-        raise FormatError(f"header promises {doc_count} documents, found {len(documents)}",
-                          line=min(doc_count, len(documents)) + 2)
     return build_index(MonthlyCorpus((2018, 2), tuple(documents.values())))
 
 
@@ -494,6 +494,7 @@ _GOOD = "D a 2018-02-01 0 a\n"
 @example(f"INDEXv2 2018-02 3\n{_GOOD}D b 2018-02-01 1 b c\n")
 @example(f"INDEXv2 2018-02 3\n{_GOOD}D b 2018-02-01 1 b c\nD c 2018-02-02 0\n")
 @example(f"INDEXv2 2018-02 1\n{_GOOD}D b 2018-02-01 0 a\n")  # a document more than promised
+@example(f"INDEXv2 2018-02 1\n{_GOOD}D b 2018-02-01 0 a\nD c 2018-02-30 0 a\n")  # count first
 def test_load_index_matches_line_by_line_reference(text):
     """The same documents and postings arrays, or the same error message and line."""
     got = _index_outcome(lambda text: load_index(io.StringIO(text)), text)

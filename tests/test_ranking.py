@@ -50,6 +50,16 @@ class TestScoreDocument:
         with pytest.raises(UnknownDocument):
             score_document(small_index, "d9999", ExpandedQuery(("a",), {}))
 
+    def test_rows_found_in_python_string_order(self):
+        # numpy compares "a\x00" equal to "a", so a numpy search would score "a" in its place
+        docs = tuple(ItemDocument.create(doc_id, date(2018, 2, 1), "", title)
+                     for doc_id, title in (("b", "y"), ("a\x00", "x x y"), ("a", "x")))
+        index = build_index(MonthlyCorpus((2018, 2), docs))
+        query = ExpandedQuery(("x",), {"y": 0.7})
+        results = retrieve(index, query)
+        assert len({result.score for result in results}) == 3  # a wrong row shows
+        assert [score_document(index, result.doc_id, query) for result in results] == results
+
     def test_score_is_sum_of_contributions(self, small_index):
         query = ExpandedQuery(("a", "b"), {"c": 0.7})
         result = score_document(small_index, "d0001", query)

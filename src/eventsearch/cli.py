@@ -83,7 +83,7 @@ def _partition_flags(p: argparse.ArgumentParser, output_help: str = "index file"
 
 
 def _stopwords(args) -> StopwordList | None:
-    return StopwordList.from_file(args.stopwords) if args.stopwords else None
+    return None if args.stopwords is None else StopwordList.from_file(args.stopwords)
 
 
 def _scorer(args):
@@ -185,7 +185,7 @@ def _search_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_search(args) -> int:
-    model = load_vectors(args.model) if args.model else None
+    model = None if args.model is None else load_vectors(args.model)
     stopwords = _stopwords(args)  # read without a model too, so a bad file fails every search
     if model is None:
         query = seed_only_query([args.seed], k=args.k, min_sim=args.min_sim)

@@ -35,8 +35,8 @@ NOISE_POWER = 0.75
 # (center, context) pairs per SGD step. A batch reads the vectors as they stood before
 # it; at 256 its summed stale updates no longer separate the seasonal-drift test months.
 BATCH_PAIRS = 64
-# pairs (64 batches) whose noise draws, learning rates and scatter plans are made in one
-# pass; whole epochs at once would hold ~8 arrays of n_pairs x (1 + negatives) entries
+# pairs (64 batches) whose noise draws, learning rates and one scatter plan over the stacked
+# weight rows are made in one pass; whole epochs would hold ~8 n_pairs x (2 + negatives) arrays
 BLOCK_PAIRS = 64 * BATCH_PAIRS
 # vector-file rows per numpy conversion; a whole 3.4k-row file at once peaks 8 MB higher
 BLOCK_ROWS = 512
@@ -226,15 +226,14 @@ class _ScatterPlan:
 def train(corpus: MonthlyCorpus, cfg: TrainConfig | None = None) -> EmbeddingModel:
     """Train skip-gram-with-negative-sampling vectors on one month of titles.
 
-    Context pairs come from a fixed symmetric window and never cross
-    document boundaries. Each epoch walks them in corpus order, BATCH_PAIRS
-    at a time: a batch reads the vectors as they stood before it, draws
-    cfg.negatives noise words per pair (dropping a draw equal to the pair's
-    context), and adds its summed gradients at once. The learning rate falls
-    linearly per pair. The draws, rates and the order in which each batch sums
-    its gradients are made a block of BLOCK_PAIRS pairs at a time, the same
-    values as batch by batch. The result is bit-identical for a given document
-    order and cfg.
+    Context pairs come from a fixed symmetric window and never cross document boundaries. One
+    (2V, dim) weights matrix holds the V input vectors, then the V output vectors, which are
+    discarded. Each epoch walks the pairs in corpus order, BATCH_PAIRS at a time, at a learning
+    rate falling linearly per pair: a batch reads its centers' and targets' rows (a target is
+    the context or one of cfg.negatives noise draws, a draw equal to the context dropped) in one
+    gather, as they stood before it, and adds its summed gradients in one scatter. Draws, rates
+    and one scatter plan are made per block of BLOCK_PAIRS pairs, the values batch by batch
+    would give, so the result is bit-identical for a given document order and cfg.
 
     Raises EmptyVocabulary if no term survives cfg.min_count, and
     NoTrainingPairs if the window yields no (center, context) pair.
@@ -253,8 +252,8 @@ def train(corpus: MonthlyCorpus, cfg: TrainConfig | None = None) -> EmbeddingMod
 
     noise_cdf = np.cumsum(negative_sampling_distribution([counts[t] for t in terms]))
     rng = np.random.default_rng(cfg.rng_seed)
-    syn0 = (rng.random((len(terms), cfg.dim)) - 0.5) / cfg.dim
-    syn1 = np.zeros_like(syn0)
+    V = len(terms)
+    weights = np.r_[(rng.random((V, cfg.dim)) - 0.5) / cfg.dim, np.zeros((V, cfg.dim))]
 
     n_pairs, total = len(centers), len(centers) * cfg.epochs
     labels = np.r_[1.0, np.zeros(cfg.negatives)]
@@ -265,20 +264,21 @@ def train(corpus: MonthlyCorpus, cfg: TrainConfig | None = None) -> EmbeddingMod
             steps = epoch_start + start + np.arange(len(center))
             lrs = cfg.lr_initial + (cfg.lr_final - cfg.lr_initial) * (steps / total)
             draws = np.searchsorted(noise_cdf, rng.random((len(center), cfg.negatives)))
-            targets = np.column_stack((context, np.minimum(draws, len(terms) - 1)))
-            dropped = targets[:, 1:] == context[:, None]
-            plan0 = _ScatterPlan(center, BATCH_PAIRS)
-            plan1 = _ScatterPlan(targets.ravel(), BATCH_PAIRS * (1 + cfg.negatives))
+            rows = np.column_stack((center, V + context, V + np.minimum(draws, V - 1)))
+            dropped = rows[:, 2:] == rows[:, 1, None]
+            plan = _ScatterPlan(rows.ravel(), BATCH_PAIRS * (2 + cfg.negatives))
             for b, lo in enumerate(range(0, len(center), BATCH_PAIRS)):
                 batch = slice(lo, lo + BATCH_PAIRS)
-                center_vecs, out_vecs = syn0[center[batch]], syn1[targets[batch]]
+                vecs = weights[rows[batch]]
+                center_vecs, out_vecs = vecs[:, 0], vecs[:, 1:]
                 dots = np.clip(np.einsum("bd,btd->bt", center_vecs, out_vecs), -60.0, 60.0)
                 g = lrs[batch, None] * (labels - 1.0 / (1.0 + np.exp(-dots)))
                 g[:, 1:][dropped[batch]] = 0.0
-                plan0.add(syn0, b, np.einsum("bt,btd->bd", g, out_vecs))
-                plan1.add(syn1, b, np.einsum("bt,bd->btd", g, center_vecs).reshape(-1, cfg.dim))
+                updates = np.concatenate((np.einsum("bt,btd->bd", g, out_vecs)[:, None],
+                                          np.einsum("bt,bd->btd", g, center_vecs)), axis=1)
+                plan.add(weights, b, updates.reshape(-1, cfg.dim))
 
-    return EmbeddingModel(terms, syn0, corpus.month_key)
+    return EmbeddingModel(terms, weights[:V], corpus.month_key)
 
 
 def save_vectors(model: EmbeddingModel, dest: PathOrFile) -> None:

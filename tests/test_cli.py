@@ -484,6 +484,25 @@ class TestExitCodes:
         assert err == f"eventsearch: error: line 2: {path} is not UTF-8 (byte 0xff)\n"
         assert not (workspace / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--index", "{idx}", "--seed", "valentine", "--model", ""],
+            ["search", "--index", "{idx}", "--seed", "valentine", "--stopwords", ""],
+            ["expand", "--model", "", "--seed", "valentine"],
+            ["expand", "--model", "{vec}", "--seed", "valentine", "--stopwords", ""],
+        ],
+    )
+    def test_empty_path_is_a_missing_file(self, workspace, capsys, argv):
+        # an empty path names no file: no fall back to seed-only search or the built-in list
+        idx = workspace / "feb.idx"
+        run(capsys, "index", "--input", str(workspace / "corpus.tsv"), "--month", "2018-02",
+            "--output", str(idx))
+        code, out, err = run(capsys, *[arg.format(idx=idx, vec=workspace / "feb.vec")
+                                       for arg in argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("eventsearch: error: ") and "''" in err
+
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 

@@ -19,6 +19,7 @@ from eventsearch.embedding import (
     EmbeddingModel,
     TrainConfig,
     _pairs,
+    _ScatterPlan,
     load_vectors,
     most_similar,
     negative_sampling_distribution,
@@ -736,6 +737,31 @@ def reference_scatter_add(matrix, rows, updates):
     matrix[rows[firsts]] += np.add.reduceat(updates[order], firsts)
 
 
+class TestScatterPlan:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 300),
+        st.integers(1, 40),
+        st.integers(1, 70),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_every_batch_adds_like_the_reference(self, n, n_rows, per_batch, dim, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, n_rows, n)
+        plan = _ScatterPlan(rows, per_batch)
+        # magnitudes spread over many decades, so that another summing order shows in the bits
+        scales = 10.0 ** rng.integers(-8, 9, (n, 1))
+        updates = rng.standard_normal((n, dim)) * scales
+        got = rng.standard_normal((rows.max() + 1, dim))
+        want = got.copy()
+        for b, lo in enumerate(range(0, n, per_batch)):
+            batch = slice(lo, lo + per_batch)
+            plan.add(got, b, updates[batch])
+            reference_scatter_add(want, rows[batch], updates[batch])
+            assert got.tobytes() == want.tobytes()
+
+
 def reference_train(corpus, cfg):
     """(terms, matrix) from a trainer that draws, ramps and sorts anew for every batch."""
     counts = Counter(t for doc in corpus.documents for t in doc.tokens)
@@ -822,7 +848,29 @@ class TestTrainMatchesPerBatchReference:
         with monkeypatch.context() as patch:
             patch.setattr(np, "argsort", recording)
             train(corpus, cfg)
-        assert len(key_types) == 4 and all(t.itemsize > 2 for t in key_types)
+        assert len(key_types) == 2 and all(t.itemsize > 2 for t in key_types)
+        assert_trains_like_reference(corpus, cfg)
+
+    # one full block of 64 batches over V terms: V - 1 cycled, then the rarest (id V - 1) in
+    # the last batch, so the largest stacked (batch, row) key is 64 * 2V - 1
+    @pytest.mark.parametrize("n_terms, key_type", [(512, np.uint16), (513, np.uint32)])
+    def test_bit_identical_at_the_16_bit_key_edge(self, monkeypatch, n_terms, key_type):
+        cycled = [f"t{i % (n_terms - 1)}" for i in range(4094)]
+        corpus = corpus_from_token_lists([cycled[i : i + 2] for i in range(0, 4094, 2)]
+                                         + [["t0", "zzz"]])
+        cfg = TrainConfig(dim=4, window=1, negatives=2, epochs=1, min_count=1, rng_seed=5)
+        keys = []
+        argsort = np.argsort
+
+        def recording(a, *args, **kwargs):
+            keys.append((a.dtype, int(a.max())))
+            return argsort(a, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "argsort", recording)
+            model = train(corpus, cfg)
+        assert len(model) == n_terms and model.terms[-1] == "zzz"
+        assert keys == [(np.dtype(key_type), 128 * n_terms - 1)]
         assert_trains_like_reference(corpus, cfg)
 
     @pytest.mark.parametrize("n_docs, epochs", [(20, 1), (2048, 3), (2049, 2), (4500, 2)])

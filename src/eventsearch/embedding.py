@@ -235,8 +235,9 @@ def train(corpus: MonthlyCorpus, cfg: TrainConfig | None = None) -> EmbeddingMod
     and one scatter plan are made per block of BLOCK_PAIRS pairs, the values batch by batch
     would give, so the result is bit-identical for a given document order and cfg.
 
-    Raises EmptyVocabulary if no term survives cfg.min_count, and
-    NoTrainingPairs if the window yields no (center, context) pair.
+    Raises EmptyVocabulary if no term survives cfg.min_count, NoTrainingPairs if the window
+    yields no (center, context) pair, and ValueError naming the learning rate if training
+    diverges to a non-finite vector or norm.
     """
     cfg = cfg or TrainConfig()
     counts = Counter(t for doc in corpus.documents for t in doc.tokens)
@@ -257,26 +258,30 @@ def train(corpus: MonthlyCorpus, cfg: TrainConfig | None = None) -> EmbeddingMod
 
     n_pairs, total = len(centers), len(centers) * cfg.epochs
     labels = np.r_[1.0, np.zeros(cfg.negatives)]
-    for epoch_start in range(0, total, n_pairs):
-        for start in range(0, n_pairs, BLOCK_PAIRS):
-            block = slice(start, start + BLOCK_PAIRS)
-            center, context = centers[block], contexts[block]
-            steps = epoch_start + start + np.arange(len(center))
-            lrs = cfg.lr_initial + (cfg.lr_final - cfg.lr_initial) * (steps / total)
-            draws = np.searchsorted(noise_cdf, rng.random((len(center), cfg.negatives)))
-            rows = np.column_stack((center, V + context, V + np.minimum(draws, V - 1)))
-            dropped = rows[:, 2:] == rows[:, 1, None]
-            plan = _ScatterPlan(rows.ravel(), BATCH_PAIRS * (2 + cfg.negatives))
-            for b, lo in enumerate(range(0, len(center), BATCH_PAIRS)):
-                batch = slice(lo, lo + BATCH_PAIRS)
-                vecs = weights[rows[batch]]
-                center_vecs, out_vecs = vecs[:, 0], vecs[:, 1:]
-                dots = np.clip(np.einsum("bd,btd->bt", center_vecs, out_vecs), -60.0, 60.0)
-                g = lrs[batch, None] * (labels - 1.0 / (1.0 + np.exp(-dots)))
-                g[:, 1:][dropped[batch]] = 0.0
-                updates = np.concatenate((np.einsum("bt,btd->bd", g, out_vecs)[:, None],
-                                          np.einsum("bt,bd->btd", g, center_vecs)), axis=1)
-                plan.add(weights, b, updates.reshape(-1, cfg.dim))
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging run is refused below
+        for epoch_start in range(0, total, n_pairs):
+            for start in range(0, n_pairs, BLOCK_PAIRS):
+                block = slice(start, start + BLOCK_PAIRS)
+                center, context = centers[block], contexts[block]
+                steps = epoch_start + start + np.arange(len(center))
+                lrs = cfg.lr_initial + (cfg.lr_final - cfg.lr_initial) * (steps / total)
+                draws = np.searchsorted(noise_cdf, rng.random((len(center), cfg.negatives)))
+                rows = np.column_stack((center, V + context, V + np.minimum(draws, V - 1)))
+                dropped = rows[:, 2:] == rows[:, 1, None]
+                plan = _ScatterPlan(rows.ravel(), BATCH_PAIRS * (2 + cfg.negatives))
+                for b, lo in enumerate(range(0, len(center), BATCH_PAIRS)):
+                    batch = slice(lo, lo + BATCH_PAIRS)
+                    vecs = weights[rows[batch]]
+                    center_vecs, out_vecs = vecs[:, 0], vecs[:, 1:]
+                    dots = np.clip(np.einsum("bd,btd->bt", center_vecs, out_vecs), -60.0, 60.0)
+                    g = lrs[batch, None] * (labels - 1.0 / (1.0 + np.exp(-dots)))
+                    g[:, 1:][dropped[batch]] = 0.0
+                    updates = np.concatenate((np.einsum("bt,btd->bd", g, out_vecs)[:, None],
+                                              np.einsum("bt,bd->btd", g, center_vecs)), axis=1)
+                    plan.add(weights, b, updates.reshape(-1, cfg.dim))
+    if not np.isfinite(_norms(weights[:V])).all():
+        raise ValueError(f"training diverged at learning rate {cfg.lr_initial!r}: a vector is "
+                         "non-finite or its norm overflows")
 
     return EmbeddingModel(terms, weights[:V], corpus.month_key)
 

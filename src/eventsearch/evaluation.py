@@ -45,8 +45,7 @@ def recall_increase(
     a percentage increase over zero has no meaning.
     """
     query = expand_query(seed, model, stopwords, k=k, min_sim=min_sim)
-    seed_hits = count_hits(index, query.without_expansion(), scorer, threshold)
-    expanded_hits = count_hits(index, query, scorer, threshold)
+    seed_hits, expanded_hits = count_hits(index, query, scorer, threshold)
     if seed_hits == 0:
         raise UndefinedBaseline("seed-only query retrieved no documents")
     increase_pct = 100.0 * (expanded_hits - seed_hits) / seed_hits

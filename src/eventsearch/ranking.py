@@ -52,15 +52,6 @@ ScorerKind = Union[TfIdf, Bm25]
 _result = partial(tuple.__new__, RankedResult)  # RankedResult._make without its Python frame
 
 
-def _contribution(scorer: ScorerKind, tf, idf, delta, doc_len, avgdl: float):
-    """Each posting's share of its document's score: its term's weight times delta. tf, idf,
-    delta and doc_len are arrays with one element per posting."""
-    if isinstance(scorer, Bm25):
-        norm = 1.0 - scorer.b + scorer.b * (doc_len / avgdl)
-        return idf * tf * (scorer.k1 + 1.0) / (tf + scorer.k1 * norm) * delta
-    return tf * idf * delta
-
-
 def _accumulate(index: InvertedIndex, query: ExpandedQuery, scorer: ScorerKind, threshold: float):
     """Every document's score under query, with the postings that made it.
 
@@ -76,7 +67,11 @@ def _accumulate(index: InvertedIndex, query: ExpandedQuery, scorer: ScorerKind, 
     tfs = np.concatenate([index.tfs[lo:hi] for lo, hi in spans] or [index.tfs[:0]])
     idf = np.array([index.idf(term) for term in terms]).repeat(counts)
     delta = np.array([query.delta(term) for term in terms]).repeat(counts)
-    contribution = _contribution(scorer, tfs, idf, delta, index.doc_len[rows], index.avg_doc_len)
+    if isinstance(scorer, Bm25):  # each posting's share: its term's weight times delta
+        norm = 1.0 - scorer.b + scorer.b * (index.doc_len[rows] / index.avg_doc_len)
+        contribution = idf * tfs * (scorer.k1 + 1.0) / (tfs + scorer.k1 * norm) * delta
+    else:
+        contribution = tfs * idf * delta
     # in posting order: term after term for each document, from 0.0; with no postings,
     # bincount returns int64 zeros, so the cast keeps every score a float
     scores = np.bincount(rows, contribution, minlength=index.doc_count).astype(float, copy=False)
@@ -113,9 +108,13 @@ def score_document(
 
 
 def count_hits(index: InvertedIndex, query: ExpandedQuery, scorer: ScorerKind,
-               threshold: float) -> int:
-    """len(retrieve(index, query, scorer, threshold)), without building the results."""
-    return int(np.count_nonzero(_accumulate(index, query, scorer, threshold)[-1] > threshold))
+               threshold: float) -> tuple[int, int]:
+    """len(retrieve(...)) of query.without_expansion() and of query, from one accumulation."""
+    terms, counts, rows, contribution, scores = _accumulate(index, query, scorer, threshold)
+    # seed deltas are 1.0 in both queries, and bincount adds in the seed-only query's order
+    seed = np.array([term in query.seed_terms for term in terms], bool).repeat(counts)
+    seed_scores = np.bincount(rows[seed], contribution[seed], minlength=index.doc_count)
+    return int(np.count_nonzero(seed_scores > threshold)), int(np.count_nonzero(scores > threshold))
 
 
 def retrieve(

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -183,6 +184,22 @@ class TestTrainCommand:
         assert (code, out) == (1, "")
         assert "non-finite" in err
         assert list(tmp_path.iterdir()) == [corpus]
+
+    def test_diverging_run_names_its_learning_rate_and_no_warning(self, tmp_path):
+        # on this month, numpy overflows inside the scatter at this rate; run as a program,
+        # so that stderr is what a user sees
+        corpus, out = Path(__file__).parent / "golden" / "corpus.tsv", tmp_path / "x.vec"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "eventsearch.cli", "train", "--input", str(corpus),
+             "--month", "2018-02", "--lr", "1e300", "--epochs", "5", "--dim", "8",
+             "--min-count", "1", "--output", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "error: training diverged at learning rate 1e+300" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, field", [("--seed", "-1", "rng_seed"),
                                                     ("--epochs", "0", "epochs"),

@@ -918,6 +918,12 @@ class TestTrain:
                 syn0, syn1 = syn0 + g * syn1, syn1 + g * syn0
         assert np.allclose(model.vector("x"), syn0, rtol=1e-12, atol=0.0)
 
+    def test_diverging_run_names_its_learning_rate(self):
+        # numpy overflows inside the scatter at this rate, and pytest makes its warning an error
+        corpus = corpus_from_token_lists([["a", "b", "c", "d", "e"]] * 3)
+        with pytest.raises(ValueError, match=r"diverged at learning rate 1e\+300"):
+            train(corpus, TrainConfig(dim=8, lr_initial=1e300, min_count=1))
+
     def test_one_token_docs_have_no_pairs(self):
         corpus = corpus_from_token_lists([["x"], ["x"], ["x"]])
         with pytest.raises(NoTrainingPairs):

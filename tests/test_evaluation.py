@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from eventsearch import ranking
 from eventsearch.embedding import EmbeddingModel
 from eventsearch.errors import UndefinedBaseline
 from eventsearch.evaluation import format_report, recall_increase
@@ -67,6 +68,22 @@ class TestRecallIncrease:
         first = recall_increase(scenario_index, ["valentine"], model, NO_STOPS)
         second = recall_increase(scenario_index, ["valentine"], model, NO_STOPS)
         assert first == second
+
+    def test_one_accumulation_per_report(self, scenario_index, monkeypatch):
+        calls = []
+
+        def accumulate(*args):
+            calls.append(args)
+            return real(*args)
+
+        real = ranking._accumulate
+        monkeypatch.setattr(ranking, "_accumulate", accumulate)
+        for scorer in (TfIdf(), Bm25()):
+            calls.clear()
+            report = recall_increase(scenario_index, ["valentine"], model_from(EXPANDING_MODEL),
+                                     NO_STOPS, scorer=scorer)
+            assert (report.seed_hits, report.expanded_hits) == (4, 13)
+            assert len(calls) == 1
 
     def test_scorer_and_threshold_travel_into_report(self, scenario_index):
         model = model_from(EXPANDING_MODEL)

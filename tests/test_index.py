@@ -126,24 +126,21 @@ class TestIdf:
             assert index.offsets == tuple(spans.tolist())
             assert list(index.doc_freq.values()) == np.diff(index.offsets).tolist()
 
-    def test_equals_the_idf_ranking_applies(self, monkeypatch):
-        """idf(term) is, bit for bit, the idf _accumulate gives each of term's postings."""
+    def test_equals_the_idf_ranking_applies(self):
+        """idf(term) is, bit for bit, the idf _accumulate gives each of term's postings: with
+        every delta 1.0, a tf = 1 posting contributes idf(term) under TfIdf."""
         lists = [["a", "b", "a"], ["b", "c"], ["c", "d", "d"], ["a", "c", "e", "e"], ["b"]]
         index = build_index(corpus_from_token_lists(lists))
-        seen = []
-
-        def contribution(scorer, tf, idf, *rest):
-            seen.append(idf)
-            return real(scorer, tf, idf, *rest)
-
-        real = ranking._contribution
-        monkeypatch.setattr(ranking, "_contribution", contribution)
-        query = ExpandedQuery(("a", "zzz"), {"b": 0.9, "c": 0.8, "d": 0.7, "e": 0.6})
-        terms, counts, *_ = ranking._accumulate(index, query, ranking.TfIdf(), 0.0)
-        expected = [index.idf(term) for term, count in zip(terms, counts) for _ in range(count)]
+        query = ExpandedQuery(("a", "b", "c", "d", "e", "zzz"), {})
+        terms, counts, _, contribution, _ = ranking._accumulate(index, query, ranking.TfIdf(), 0.0)
         assert terms == ["a", "b", "c", "d", "e"]
-        assert [value.hex() for value in seen[0].tolist()] == [value.hex() for value in expected]
-
+        tfs = [tf for term in terms for _, tf in index.postings[term]]
+        idfs = [index.idf(term) for term, count in zip(terms, counts) for _ in range(count)]
+        assert sorted(set(tfs)) == [1, 2]
+        got = [value.hex() for value in contribution.tolist()]
+        assert [g for g, tf in zip(got, tfs) if tf == 1] == [
+            idf.hex() for idf, tf in zip(idfs, tfs) if tf == 1]
+        assert got == [(tf * idf * 1.0).hex() for tf, idf in zip(tfs, idfs)]
 
 def _assert_same_index(a, b):
     assert a.month_key == b.month_key

@@ -223,7 +223,8 @@ def test_retrieve_equals_score_document(token_lists, query, scorer, threshold, l
     expected = brute_force_retrieve(list(corpus.documents), query_weights(query), threshold,
                                     bm25=bm25)
     assert [(r.doc_id, r.score, list(r.matched_terms)) for r in results] == expected
-    assert count_hits(index, query, scorer, threshold) == len(results)
+    seed_results = retrieve(index, query.without_expansion(), scorer, threshold)
+    assert count_hits(index, query, scorer, threshold) == (len(seed_results), len(results))
     returned = {r.doc_id: r for r in results}
     for doc_id in index.doc_store:
         scored = score_document(index, doc_id, query, scorer)
@@ -236,6 +237,25 @@ def test_retrieve_equals_score_document(token_lists, query, scorer, threshold, l
     if results:  # the threshold is strict: a document scoring exactly on it is cut
         cut = results[-1].score
         assert retrieve(index, query, scorer, cut) == [r for r in results if r.score > cut]
+
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(_POOL), max_size=8), max_size=12),
+    st.lists(st.sampled_from(_POOL + ["zzz"]), min_size=1, max_size=3, unique=True),
+    st.dictionaries(st.sampled_from(_POOL + ["yyy"]), st.floats(0.6, 1.0, exclude_min=True),
+                    max_size=3),
+    st.one_of(st.just(TfIdf()), st.builds(Bm25, st.floats(0.1, 3.0), st.floats(0.0, 1.0))),
+    st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+)
+def test_count_hits_equals_both_retrieves(token_lists, seeds, expansion, scorer, threshold):
+    # an expansion term may also be a seed term, which counts with delta 1.0 in both queries
+    index = build_index(corpus_from_token_lists(token_lists))
+    query = ExpandedQuery(tuple(seeds), expansion)
+    expected = tuple(len(retrieve(index, q, scorer, threshold))
+                     for q in (query.without_expansion(), query))
+    assert count_hits(index, query, scorer, threshold) == expected
 
 
 def _reference_results(index, accumulated, hits):

@@ -201,26 +201,48 @@ def _pairs(sentences: list[list[int]], window: int) -> tuple[np.ndarray, np.ndar
 class _ScatterPlan:
     """Scatters for consecutive batches of per_batch rows each, planned by one stable sort.
 
-    add(matrix, b, updates) does matrix[batch b's rows] += updates, summing repeated rows
-    in the order a stable argsort of that batch's rows alone would give. The (batch, row)
-    key is cast to its narrowest unsigned type, so that numpy radix-sorts keys of 16 bits
-    or fewer; a stable order is unique, so the cast changes the speed, not the plan.
+    add(matrix, b, updates) does matrix[batch b's rows] += updates, the batch's one buffer,
+    summing repeated rows in the order a stable argsort of that batch's rows alone would give.
+    The (batch, row) key is cast to its narrowest unsigned type, so that numpy radix-sorts keys
+    of 16 bits or fewer; a stable order is unique, so the cast changes the speed, not the plan.
+    A sorted slot stays in its batch, so subtracting its batch's start makes it local.
     """
 
     def __init__(self, rows: np.ndarray, per_batch: int):
-        key = np.arange(len(rows)) // per_batch * (rows.max() + 1) + rows
+        n = len(rows)
+        key = np.arange(-(-n // per_batch)).repeat(per_batch)[:n] * (rows.max() + 1) + rows
         order = np.argsort(key.astype(np.min_scalar_type(key.max())), kind="stable")
         key = key[order]
         firsts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
         self.rows = rows[order[firsts]]
-        self.order, self.firsts = order % per_batch, firsts % per_batch
-        self.cuts = np.searchsorted(firsts, range(0, len(rows) + per_batch, per_batch)).tolist()
+        self.cuts = np.searchsorted(firsts, range(0, n + per_batch, per_batch)).tolist()
+        starts = np.arange(0, n, per_batch).repeat(per_batch)[:n]
+        self.order, self.firsts = order - starts, firsts - starts[firsts]
         self.per_batch = per_batch
 
     def add(self, matrix: np.ndarray, b: int, updates: np.ndarray) -> None:
         runs = slice(self.cuts[b], self.cuts[b + 1])
         order = self.order[b * self.per_batch : (b + 1) * self.per_batch]
-        matrix[self.rows[runs]] += np.add.reduceat(updates[order], self.firsts[runs])
+        matrix[self.rows[runs]] += np.add.reduceat(updates.take(order, axis=0), self.firsts[runs])
+
+
+class _NoiseTable:
+    """draw(keys) is np.searchsorted(cdf, keys), key for key, through a guide table (Chen &
+    Asau, 1974) of M >= 2 len(cdf) buckets; M is a power of two, so int(key * M) and k / M are
+    exact. Bucket k draws guide[k] or the next id, unless two or more cdf entries crowd it."""
+
+    def __init__(self, cdf: np.ndarray):
+        M = 1 << (2 * len(cdf) - 1).bit_length()
+        self.guide = np.searchsorted(cdf, np.arange(M + 1) / M)
+        self.cdf, self.crowded = np.r_[cdf, np.inf], np.diff(self.guide) > 1
+
+    def draw(self, keys: np.ndarray) -> np.ndarray:
+        buckets = (keys * len(self.crowded)).astype(np.intp)
+        draws = self.guide[buckets]
+        draws += self.cdf[draws] < keys  # the appended inf makes guide[k] == len(cdf) safe
+        crowded = self.crowded[buckets]
+        draws[crowded] = np.searchsorted(self.cdf, keys[crowded])
+        return draws
 
 
 def train(corpus: MonthlyCorpus, cfg: TrainConfig | None = None) -> EmbeddingModel:
@@ -231,9 +253,10 @@ def train(corpus: MonthlyCorpus, cfg: TrainConfig | None = None) -> EmbeddingMod
     discarded. Each epoch walks the pairs in corpus order, BATCH_PAIRS at a time, at a learning
     rate falling linearly per pair: a batch reads its centers' and targets' rows (a target is
     the context or one of cfg.negatives noise draws, a draw equal to the context dropped) in one
-    gather, as they stood before it, and adds its summed gradients in one scatter. Draws, rates
-    and one scatter plan are made per block of BLOCK_PAIRS pairs, the values batch by batch
-    would give, so the result is bit-identical for a given document order and cfg.
+    gather, as they stood before it, writes its updates into one buffer and sums them in one
+    scatter. Draws (a guide table's, each a binary search's), rates and one scatter plan are
+    made per block of BLOCK_PAIRS pairs as batch by batch would, so the result is bit-identical
+    for a given document order and cfg.
 
     Raises EmptyVocabulary if no term survives cfg.min_count, NoTrainingPairs if the window
     yields no (center, context) pair, and ValueError naming the learning rate if training
@@ -251,13 +274,14 @@ def train(corpus: MonthlyCorpus, cfg: TrainConfig | None = None) -> EmbeddingMod
     if len(centers) == 0:
         raise NoTrainingPairs("window over the corpus yields no (center, context) pairs")
 
-    noise_cdf = np.cumsum(negative_sampling_distribution([counts[t] for t in terms]))
+    noise = _NoiseTable(np.cumsum(negative_sampling_distribution([counts[t] for t in terms])))
     rng = np.random.default_rng(cfg.rng_seed)
     V = len(terms)
     weights = np.r_[(rng.random((V, cfg.dim)) - 0.5) / cfg.dim, np.zeros((V, cfg.dim))]
 
     n_pairs, total = len(centers), len(centers) * cfg.epochs
     labels = np.r_[1.0, np.zeros(cfg.negatives)]
+    updates = np.empty((BATCH_PAIRS, 2 + cfg.negatives, cfg.dim))  # one batch's, reused
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging run is refused below
         for epoch_start in range(0, total, n_pairs):
             for start in range(0, n_pairs, BLOCK_PAIRS):
@@ -265,20 +289,22 @@ def train(corpus: MonthlyCorpus, cfg: TrainConfig | None = None) -> EmbeddingMod
                 center, context = centers[block], contexts[block]
                 steps = epoch_start + start + np.arange(len(center))
                 lrs = cfg.lr_initial + (cfg.lr_final - cfg.lr_initial) * (steps / total)
-                draws = np.searchsorted(noise_cdf, rng.random((len(center), cfg.negatives)))
+                draws = noise.draw(rng.random((len(center), cfg.negatives)))
                 rows = np.column_stack((center, V + context, V + np.minimum(draws, V - 1)))
                 dropped = rows[:, 2:] == rows[:, 1, None]
                 plan = _ScatterPlan(rows.ravel(), BATCH_PAIRS * (2 + cfg.negatives))
                 for b, lo in enumerate(range(0, len(center), BATCH_PAIRS)):
                     batch = slice(lo, lo + BATCH_PAIRS)
-                    vecs = weights[rows[batch]]
+                    vecs = weights.take(rows[batch], axis=0)
                     center_vecs, out_vecs = vecs[:, 0], vecs[:, 1:]
-                    dots = np.clip(np.einsum("bd,btd->bt", center_vecs, out_vecs), -60.0, 60.0)
+                    dots = np.einsum("bd,btd->bt", center_vecs, out_vecs)
+                    np.minimum(np.maximum(dots, -60.0, out=dots), 60.0, out=dots)
                     g = lrs[batch, None] * (labels - 1.0 / (1.0 + np.exp(-dots)))
                     g[:, 1:][dropped[batch]] = 0.0
-                    updates = np.concatenate((np.einsum("bt,btd->bd", g, out_vecs)[:, None],
-                                              np.einsum("bt,bd->btd", g, center_vecs)), axis=1)
-                    plan.add(weights, b, updates.reshape(-1, cfg.dim))
+                    np.einsum("bt,btd->bd", g, out_vecs, out=updates[: len(g), 0])
+                    np.einsum("bt,bd->btd", g, center_vecs, out=updates[: len(g), 1:])
+                    plan.add(weights, b, updates[: len(g)].reshape(-1, cfg.dim))
+                del steps, lrs, draws, rows, dropped, plan  # before the next block's draws
     if not np.isfinite(_norms(weights[:V])).all():
         raise ValueError(f"training diverged at learning rate {cfg.lr_initial!r}: a vector is "
                          "non-finite or its norm overflows")

@@ -1,10 +1,12 @@
 """Embedding training, similarity queries, and the word2vec text format."""
 
 import codecs
+import hashlib
 import io
 import math
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +15,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from eventsearch import embedding
+from eventsearch.corpus import ingest, segment_by_month
 from eventsearch.embedding import (
     BATCH_PAIRS,
     BLOCK_ROWS,
     EmbeddingModel,
     TrainConfig,
+    _NoiseTable,
     _pairs,
     _ScatterPlan,
     load_vectors,
@@ -873,6 +877,26 @@ class TestTrainMatchesPerBatchReference:
         assert keys == [(np.dtype(key_type), 128 * n_terms - 1)]
         assert_trains_like_reference(corpus, cfg)
 
+    def test_bit_identical_when_noise_buckets_crowd(self, monkeypatch):
+        # one term seen 10^4 times beside 50 seen twice: about five tail cdf entries share
+        # each of the 128 guide buckets past the head's, so those draws take the binary search
+        tails = [[f"t{i}", "h"] for i in range(50)]
+        corpus = corpus_from_token_lists([["h", "h"]] * 4950 + tails * 2)
+        cfg = TrainConfig(dim=4, window=1, negatives=5, epochs=1, min_count=1, rng_seed=11)
+        searched = []
+        searchsorted = np.searchsorted
+
+        def recording(a, v, *args, **kwargs):
+            if a[-1] == np.inf:  # the sampler's fallback; the table itself is built without inf
+                searched.append(np.size(v))
+            return searchsorted(a, v, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "searchsorted", recording)
+            model = train(corpus, cfg)
+        assert len(model) == 51 and len(searched) == 3 and min(searched) > 0
+        assert_trains_like_reference(corpus, cfg)
+
     @pytest.mark.parametrize("n_docs, epochs", [(20, 1), (2048, 3), (2049, 2), (4500, 2)])
     def test_draws_once_per_block_of_4096_pairs(self, monkeypatch, n_docs, epochs):
         draws = []
@@ -982,6 +1006,61 @@ class TestTrain:
         # relative order of the two partners flips between months
         assert sim(model1, "p", "a") > sim(model1, "p", "b")
         assert sim(model2, "p", "b") > sim(model2, "p", "a")
+
+
+GOLDEN_CORPUS = Path(__file__).parent / "golden" / "corpus.tsv"
+
+
+def test_golden_month_trains_to_pinned_bits(tmp_path):
+    # The per-batch reference shares numpy's primitives with train, so only a stored value
+    # shows drift from the vectors train has written before. The value is from numpy 2.4.6;
+    # a numpy upgrade that moves einsum's last bits regenerates it, with a CHANGES.md note.
+    lines = GOLDEN_CORPUS.read_text(encoding="utf-8").splitlines()
+    month = {c.month_key: c for c in segment_by_month(ingest(lines).documents)}[(2018, 2)]
+    save_vectors(train(month, TrainConfig(dim=8, epochs=3, min_count=1, rng_seed=7)),
+                 tmp_path / "2018-02.vec")
+    digest = hashlib.sha256((tmp_path / "2018-02.vec").read_bytes()).hexdigest()
+    assert digest == "79cc097b27278cf741cc367697fe4bab3876ca375519dd0139d14eb2ffc327d2"
+
+
+@st.composite
+def noise_cdfs(draw):
+    """A cdf of count^0.75 over 1-300 descending counts whose head:tail ratio reaches 10^6."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_terms, decades = draw(st.integers(1, 300)), draw(st.floats(0.0, 6.0))
+    counts = np.sort(np.round(10.0 ** rng.uniform(0.0, decades, n_terms)))[::-1]
+    return np.cumsum(negative_sampling_distribution(counts))
+
+
+class TestNoiseTable:
+    @settings(max_examples=200, deadline=None)
+    @given(noise_cdfs(), st.integers(0, 2**32 - 1))
+    def test_every_draw_is_the_binary_searchs(self, cdf, seed):
+        M = 1 << (2 * len(cdf) - 1).bit_length()
+        table = _NoiseTable(cdf)
+        assert len(table.guide) == M + 1
+        near = np.r_[cdf, np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf)]
+        edges = np.r_[0.0, 1.0 - 2.0**-53, np.arange(M) / M, near[(near >= 0.0) & (near < 1.0)]]
+        keys = np.random.default_rng(seed).random((500, 5))
+        for drawn in (keys, edges):
+            assert np.array_equal(table.draw(drawn), np.searchsorted(cdf, drawn))
+
+    def test_a_crowded_bucket_falls_back_to_binary_search(self, monkeypatch):
+        # M = 8: 0.9 and 0.95 both fall in bucket 7, [0.875, 1)
+        cdf = np.array([0.9, 0.95, 1.0])
+        table = _NoiseTable(cdf)
+        assert table.crowded.tolist() == [False] * 7 + [True]
+        searched = []
+        searchsorted = np.searchsorted
+
+        def recording(a, v, *args, **kwargs):
+            searched.append(np.asarray(v).tolist())
+            return searchsorted(a, v, *args, **kwargs)
+
+        keys = np.array([0.5, 0.875, 0.9, 0.93, 0.95, 0.97, 0.86])
+        monkeypatch.setattr(np, "searchsorted", recording)
+        assert table.draw(keys).tolist() == [0, 0, 0, 1, 1, 2, 0]
+        assert searched == [[0.875, 0.9, 0.93, 0.95, 0.97]]
 
 
 class TestNegativeSampling:

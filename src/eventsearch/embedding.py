@@ -16,6 +16,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable
 
 import numpy as np
@@ -332,23 +333,35 @@ def save_vectors(model: EmbeddingModel, dest: PathOrFile) -> None:
 def _rows(rows: list[str], dim: int, line: int, words: dict[str, None]) -> np.ndarray:
     """Components of consecutive vector-file rows, the first on the given line, in one numpy
     conversion; words, the ordered set of earlier rows' words, gains theirs once all pass. Else
-    the first check below that a row fails raises, under the first row's line and word."""
+    the first check below that a row fails raises, under the first row's line and word. Cheap
+    sufficient tests pass clean rows; the word regex and the count run only on their refusal."""
     fresh = dict.fromkeys([row.partition(" ")[0] for row in rows])
     word = next(iter(fresh))
-    if not all(map(FIELD.fullmatch, fresh)):
+    # a word holds no " ", and every other character \s matches is non-printable
+    if not (all(fresh) and "".join(fresh).isprintable()) and not all(map(FIELD.fullmatch, fresh)):
         raise FormatError(f"word {word!r} is empty or holds whitespace", line=line)
     if len(fresh) < len(rows) or not fresh.keys().isdisjoint(words):
         raise FormatError(f"duplicate word {word!r}", line=line)
-    if any((count := row.count(" ")) != dim for row in rows):
-        raise DimensionMismatch(f"row has {count} components, header says {dim}", line=line)
-    text = " ".join([row.partition(" ")[2] for row in rows])
-    if not text.isascii() or any(c in text for c in "_\t\r\x0b\x0c"):  # float() reads these
-        raise FormatError(f"number in a form never written, in row {word!r}", line=line)
-    try:  # loadtxt skips an empty line and strips \x1c-\x1f around a number; float() refuses both
-        if not text or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+    comps = [row.partition(" ")[2] for row in rows]
+    text = " ".join(comps)
+    written = text.isascii() and not any(c in text for c in "_\t\r\x0b\x0c")  # float() reads these
+    try:  # loadtxt skips an empty line and strips \x1c-\x1f around a number; float() refuses
+        # both. Components led by " " break the count, however a loadtxt splits their line.
+        if (not (written and all(comps)) or any(c in text for c in "\x1c\x1d\x1e\x1f")
+                or any(map(str.startswith, comps, repeat(" ")))):
             raise ValueError
-        matrix = np.loadtxt([text], np.float64, delimiter=" ", comments=None).reshape(-1, dim)
-    except ValueError:
+        # one line per row: loadtxt refuses a row whose column count differs from the first's,
+        # so the shape stands for each row's count of dim spaces
+        matrix = np.loadtxt(comps, np.float64, delimiter=" ", comments=None, ndmin=2)
+        if matrix.shape != (len(rows), dim):
+            raise ValueError
+    except ValueError:  # the first rule, in order, that a row breaks
+        if any((count := row.count(" ")) != dim for row in rows):
+            raise DimensionMismatch(f"row has {count} components, header says {dim}",
+                                    line=line) from None
+        if not written:
+            raise FormatError(f"number in a form never written, in row {word!r}",
+                              line=line) from None
         raise FormatError(f"non-numeric vector component in row {word!r}", line=line) from None
     if not np.isfinite(_norms(matrix)).all():  # a nan or inf component gives one too
         overflow = np.isfinite(matrix).all()

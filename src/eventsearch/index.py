@@ -115,8 +115,11 @@ def _parse_doc_line(line: str, lineno: int, month_key: MonthKey,
     cat_count = int(cat_count_text)
     if cat_count > len(tokens):
         raise FormatError(f"category token count {cat_count} out of range", line=lineno)
-    if tokenize(" ".join(tokens)) != tokens:
-        raise FormatError(f"tokens are not in normalized form: {tokens}", line=lineno)
+    # lowercase alphanumeric tokens are exactly tokenize(joined): only other lines are tokenized
+    joined = " ".join(tokens)
+    if not all(map(str.isalnum, tokens)) or joined.lower() != joined:
+        if tokenize(joined) != tokens:
+            raise FormatError(f"tokens are not in normalized form: {tokens}", line=lineno)
     # raw category/title text is not stored; rebuild normalized forms from tokens
     category = " ".join(tokens[:cat_count])
     title = " ".join(tokens[cat_count:])

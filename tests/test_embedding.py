@@ -4,6 +4,7 @@ import codecs
 import hashlib
 import io
 import math
+import re
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -575,8 +576,10 @@ def reference_load_vectors(text):
 
 # forms a component or word can take that save_vectors never writes, and some it does
 _PLANTED_COMPONENTS = ["1_0", " 1", "+1", "Infinity", "nan", "\u0661", "1e5", ".5", "1.", "-0",
-                       "0x1p3", "", "\t2", "junk", "1e400", "1\x1c", "1.7976931348623157e308"]
-_PLANTED_WORDS = ["", "a b", "a\tb", "a\u3000b", "\u00e9", "a_b", "1"]
+                       "0x1p3", "", "\t2", "junk", "1e400", "1\x1c", "1.7976931348623157e308",
+                       "  1", "1 ", "1  0"]
+_PLANTED_WORDS = ["", "a b", "a\tb", "a\u3000b", "\u00e9", "a_b", "1", "\x85", "\xa0", "\u2028",
+                  "a\x1cb"]
 
 
 @st.composite
@@ -633,6 +636,9 @@ def _outcome(load, text):
 @example("2 2\na 1.0 2.0\nb \x1f1.0 2.0\n")  # the same, in a later row of the block
 @example("1 2\na 1.0 2.0#\n")  # a comment mark to loadtxt by default
 @example('1 2\na 1.0 "2.0"\n')  # a quoted field to loadtxt with quotechar='"'
+@example("1 1\na  1.0\n")  # components led by a space: a count of 2, not a number read
+@example("1 2\na 1_0 2.0 3.0\n")  # a count and a form fault: the count is reported
+@example("2 1\na \nb \n")  # every line empty to loadtxt: non-numeric, and no warning
 def test_load_vectors_matches_line_by_line_reference(block_rows, text):
     """Same terms and matrix bytes, or the same error type, message and line."""
     def bulk(text):
@@ -674,6 +680,17 @@ def test_clean_blocks_read_once_and_only_a_faulty_block_reread(monkeypatch):
         load_vectors(vector_file(faulty))
     assert excinfo.value.line == 2 + fifth_of_second
     assert calls == [BLOCK_ROWS, BLOCK_ROWS] + [1] * 5
+
+
+def test_whitespace_is_printable_only_as_space():
+    """load_vectors passes a block's words, each cut at its first ' ', without a regex call when
+    they are non-empty and printable. That rests on two facts of this Python's Unicode data,
+    checked over every code point: \\s matches exactly what str.isspace() accepts, and of those
+    only ' ' is printable."""
+    every = "".join(map(chr, range(0x110000)))
+    spaces = [c for c in every if c.isspace()]
+    assert re.findall(r"\s", every) == spaces
+    assert [c for c in spaces if c.isprintable()] == [" "]
 
 
 def reference_pairs(sentences, window):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from eventsearch import index as index_module
 from eventsearch import ranking
-from eventsearch.corpus import ItemDocument, MonthlyCorpus, segment_by_month
+from eventsearch.corpus import ItemDocument, MonthlyCorpus, segment_by_month, tokenize
 from eventsearch.errors import DuplicateDocumentId, FormatError
 from eventsearch.expansion import ExpandedQuery
 from eventsearch.index import InvertedIndex, build_index, load_index, save_index
@@ -408,7 +408,8 @@ _PLANTED_DATES = ["2018-02-30", "2018-03-01", "2017-02-01", "20180201", "2018-2-
                   "2018-02-0\u0661", "2018-02-01"]
 _PLANTED_DOC_IDS = ["", "a\tb", "a\u00a0", "\x1c", "a\u3000b"]
 _PLANTED_COUNTS = ["+1", "\u0661", "9", "-1", "", "01"]
-_PLANTED_TOKENS = ["A", "a-b", "", "\u00e9", "\u0130", "\u03a3", "a\tb"]
+_PLANTED_TOKENS = ["A", "a-b", "", "\u00e9", "\u0130", "\u03a3", "a\tb", "\u00b2", "\u03c2",
+                   "\u0307", "\u01c5", "\u212a", "\u00df"]
 
 
 @st.composite
@@ -496,6 +497,15 @@ def test_load_index_matches_line_by_line_reference(text):
     """The same documents and postings arrays, or the same error message and line."""
     got = _index_outcome(lambda text: load_index(io.StringIO(text)), text)
     assert got == _index_outcome(reference_load_index, text)
+
+
+@given(st.lists(st.text() | st.text(st.characters(categories=("L", "N")))))
+@example(["\u00b2", "\u03c2", "\u00df", "1"])  # a digit, a final sigma, a sharp s lower() keeps
+def test_lowercase_alphanumeric_tokens_are_their_own_tokenize(tokens):
+    """load_index skips tokenize on a line whose tokens pass this test."""
+    joined = " ".join(tokens)
+    if all(map(str.isalnum, tokens)) and joined.lower() == joined:
+        assert tokenize(joined) == tokens
 
 
 def test_load_index_parses_each_date_text_once(monkeypatch):

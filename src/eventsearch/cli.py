@@ -103,10 +103,10 @@ def cmd_ingest(args) -> int:
     for part in segment_by_month(documents):
         path = out_dir / f"{format_month(part.month_key)}.tsv"
         with writer(path) as handle:
-            for doc in part.documents:
-                handle.write(
-                    f"{doc.doc_id}\t{doc.sold_date.isoformat()}\t{doc.category}\t{doc.title}\n"
-                )
+            handle.write("".join(
+                f"{doc.doc_id}\t{doc.sold_date.isoformat()}\t{doc.category}\t{doc.title}\n"
+                for doc in part.documents
+            ))
         print(f"{format_month(part.month_key)}\t{len(part)}\t{path}")
     return 0
 

@@ -67,7 +67,12 @@ class ItemDocument:
     @classmethod
     def create(cls, doc_id: str, sold_date: date, category: str, title: str) -> "ItemDocument":
         """Build a document whose tokens are category's, then title's."""
-        return cls(doc_id, sold_date, category, title, tuple(tokenize(category) + tokenize(title)))
+        return cls._create(doc_id, sold_date, category, tokenize(category), title)
+
+    @classmethod
+    def _create(cls, doc_id: str, sold_date: date, category: str, category_tokens: list[str],
+                title: str) -> "ItemDocument":
+        return cls(doc_id, sold_date, category, title, (*category_tokens, *tokenize(title)))
 
     @property
     def month_key(self) -> MonthKey:
@@ -82,8 +87,8 @@ class MonthlyCorpus:
     documents: tuple[ItemDocument, ...]
 
     def __post_init__(self):
-        counts = Counter(doc.doc_id for doc in self.documents)
-        if len(counts) != len(self.documents):
+        if len({doc.doc_id for doc in self.documents}) != len(self.documents):
+            counts = Counter(doc.doc_id for doc in self.documents)
             dupes = [doc_id for doc_id, n in counts.items() if n > 1]
             month = format_month(self.month_key)
             raise DuplicateDocumentId(f"duplicate doc_ids in {month}: {dupes}")
@@ -105,29 +110,45 @@ def parse_record_line(line: str) -> ItemDocument:
 
     Raises ValueError on wrong field count, an empty or whitespace-holding doc_id, or a bad date.
     """
+    return _parse_record(line, {}, {})
+
+
+def _parse_record(line: str, dates: dict[str, date],
+                  categories: dict[str, list[str]]) -> ItemDocument:
+    """parse_record_line, reading each date and category's tokens from dates and categories,
+    which gain the texts they lack; a date text that fails parse_date is not kept."""
     fields = line.split("\t")
     if len(fields) != 4:
         raise ValueError(f"expected 4 tab-separated fields, got {len(fields)}")
     doc_id, date_text, category, title = fields
-    if not FIELD.fullmatch(doc_id):
+    if not (doc_id.isalnum() or FIELD.fullmatch(doc_id)):  # no alphanumeric is whitespace
         raise ValueError(f"invalid doc_id {doc_id!r}")
-    return ItemDocument.create(doc_id, parse_date(date_text), category, title)
+    if (sold := dates.get(date_text)) is None:
+        sold = dates[date_text] = parse_date(date_text)
+    if (category_tokens := categories.get(category)) is None:
+        category_tokens = categories[category] = tokenize(category)
+    return ItemDocument._create(doc_id, sold, category, category_tokens, title)
 
 
 def ingest(lines: Iterable[str]) -> IngestResult:
     """Parse line-delimited records, skipping and counting malformed lines.
 
-    Lines starting with '#' and blank lines are ignored. A duplicate doc_id
-    is fatal and raises DuplicateDocumentId.
+    Empty lines and lines starting with '#' are skipped; any other line, one
+    of spaces too, is a record, and a malformed one is reported with its line
+    number. Each distinct date text is parsed, and each distinct category
+    tokenized, once per call. A duplicate doc_id is fatal and raises
+    DuplicateDocumentId.
     """
     result = IngestResult()
     seen: dict[str, int] = {}
+    dates: dict[str, date] = {}
+    categories: dict[str, list[str]] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
         if not line or line.startswith("#"):
             continue
         try:
-            doc = parse_record_line(line)
+            doc = _parse_record(line, dates, categories)
         except ValueError as exc:
             result.errors.append((lineno, str(exc)))
             continue

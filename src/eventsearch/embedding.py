@@ -16,7 +16,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable
 
 import numpy as np
@@ -191,7 +191,7 @@ def _pairs(sentences: list[list[int]], window: int) -> tuple[np.ndarray, np.ndar
     lengths = np.array([len(s) for s in sentences], dtype=np.intp)
     # an offset past the longest sentence is masked out everywhere: no memory for it
     window = min(window, int(lengths.max(initial=0)))
-    ids = np.array([i for s in sentences for i in s], dtype=np.intp)
+    ids = np.fromiter(chain.from_iterable(sentences), np.intp, int(lengths.sum()))
     ends = np.repeat(np.cumsum(lengths), lengths)
     starts = ends - np.repeat(lengths, lengths)
     ctx = np.arange(len(ids))[:, None] + np.r_[-window:0, 1 : window + 1]
@@ -264,7 +264,7 @@ def train(corpus: MonthlyCorpus, cfg: TrainConfig | None = None) -> EmbeddingMod
     diverges to a non-finite vector or norm.
     """
     cfg = cfg or TrainConfig()
-    counts = Counter(t for doc in corpus.documents for t in doc.tokens)
+    counts = Counter(chain.from_iterable(doc.tokens for doc in corpus.documents))
     # ids run in order of descending count, ties broken by term
     terms = sorted((t for t in counts if counts[t] >= cfg.min_count), key=lambda t: (-counts[t], t))
     if not terms:
@@ -326,8 +326,7 @@ def save_vectors(model: EmbeddingModel, dest: PathOrFile) -> None:
     with writer(dest) as handle:
         handle.write(f"{len(model)} {model.dim}\n")
         for term, row in zip(model._terms, model._matrix):
-            components = " ".join(repr(float(c)) for c in row)
-            handle.write(f"{term} {components}\n")
+            handle.write(f"{term} {' '.join(map(repr, np.ndarray.tolist(row)))}\n")
 
 
 def _rows(rows: list[str], dim: int, line: int, words: dict[str, None]) -> np.ndarray:

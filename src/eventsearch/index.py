@@ -82,10 +82,12 @@ def save_index(index: InvertedIndex, dest: PathOrFile) -> None:
     for doc_id in index.doc_store:
         if not FIELD.fullmatch(doc_id):
             raise FormatError(f"doc_id {doc_id!r} cannot be serialized in index format")
+    counts: dict[str, str] = {}  # category text -> its token count, counted once
     with writer(dest) as handle:
         handle.write(f"{FORMAT} {format_month(index.month_key)} {index.doc_count}\n")
         for doc in index.doc_store.values():
-            category_tokens = str(len(tokenize(doc.category)))
+            if (category_tokens := counts.get(doc.category)) is None:
+                category_tokens = counts[doc.category] = str(len(tokenize(doc.category)))
             fields = ("D", doc.doc_id, doc.sold_date.isoformat(), category_tokens, *doc.tokens)
             handle.write(" ".join(fields) + "\n")
 

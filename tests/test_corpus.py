@@ -1,20 +1,26 @@
 """Tokenization, ingestion, and monthly partitioning."""
 
 import string
+from collections import Counter
 from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eventsearch import corpus as corpus_module
 from eventsearch.corpus import (
     ItemDocument,
     format_month,
     ingest,
     parse_month,
+    parse_record_line,
     segment_by_month,
     tokenize,
 )
 from eventsearch.errors import DuplicateDocumentId
+from eventsearch.textfile import FIELD
 
 
 class TestTokenize:
@@ -158,3 +164,83 @@ class TestMonthHelpers:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_month(bad)
+
+
+def _reference_ingest(lines):
+    """(documents, errors) of ingest by parse_record_line on each line that is not skipped."""
+    documents, errors = [], []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        if not line or line.startswith("#"):
+            continue
+        try:
+            documents.append(parse_record_line(line))
+        except ValueError as exc:
+            errors.append((lineno, str(exc)))
+    return documents, errors
+
+
+# "{i}" makes a doc_id unique per line; the templates hold valid doc_ids that are and are not
+# alphanumeric, and invalid ones (empty, holding a space or a no-break space, a comment)
+_DOC_IDS = ["d{i}", "a-{i}", "\u00e9{i}", "\u0661\u0662{i}", "x_{i}", "", "a {i}", "{i} ",
+            "x\u00a0{i}", "#{i}"]
+_DATES = ["2018-02-03", "2018-02-28", "2018-12-31", "2019-01-01", "2018-02-30", "2018-2-3",
+          "2018-13-01", "\uff12\uff10\uff11\uff18-02-03", ""]
+_CATEGORIES = ["Jewelry", "", "!!", "-", "Home & Garden", "a_b", "\u00c9t\u00e9", "Toys  LEGO"]
+_TITLES = ["Heart Necklace", "", "Snow-Boots 42", "caf\u00e9 MUG", "!?", "x_y"]
+# a record's fields joined by tabs, or: too few, too many, empty, spaces, a comment
+_SHAPES = ["record", "record\r\n", "three", "five", "empty", "spaces", "comment"]
+
+
+@st.composite
+def corpus_lines(draw):
+    lines = []
+    for i, shape in enumerate(draw(st.lists(st.sampled_from(_SHAPES), max_size=40))):
+        fields = [draw(st.sampled_from(_DOC_IDS)).format(i=i), draw(st.sampled_from(_DATES)),
+                  draw(st.sampled_from(_CATEGORIES)), draw(st.sampled_from(_TITLES))]
+        line = {"three": "\t".join(fields[:3]), "five": "\t".join(fields + ["extra"]),
+                "empty": "", "spaces": "   ", "comment": "# " + "\t".join(fields)}.get(shape)
+        lines.append(("\t".join(fields) + shape[6:]) if line is None else line + "\n")
+    return lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus_lines())
+def test_ingest_equals_parse_record_line_per_line(lines):
+    result = ingest(lines)
+    documents, errors = _reference_ingest(lines)
+    assert result.errors == errors
+    assert len(result.documents) == len(documents)
+    for doc, want in zip(result.documents, documents):
+        for name in ("doc_id", "sold_date", "category", "title", "tokens"):
+            assert getattr(doc, name) == getattr(want, name)
+        assert doc == ItemDocument.create(doc.doc_id, doc.sold_date, doc.category, doc.title)
+
+
+def test_ingest_parses_each_date_and_tokenizes_each_category_once(monkeypatch):
+    dates = ["2018-02-01", "2018-02-02", "2018-03-04", "2018-02-30"]
+    categories = ["Jewelry", "Home Garden", "!!"]
+    lines = [f"d{i}\t{dates[i % 4]}\t{categories[i % 3]}\tw{i}" for i in range(60)]
+    calls = []
+
+    def spy(real):
+        def wrapped(text):
+            calls.append(text)
+            return real(text)
+        return wrapped
+
+    monkeypatch.setattr(corpus_module, "parse_date", spy(corpus_module.parse_date))
+    monkeypatch.setattr(corpus_module, "tokenize", spy(corpus_module.tokenize))
+    for _ in range(2):  # what one call learns is not kept for the next
+        calls.clear()
+        result = ingest(lines)
+        assert len(result.documents) == 45 and len(result.errors) == 15
+        counts = Counter(calls)
+        assert [counts[text] for text in dates] == [1, 1, 1, 15]
+        assert [counts[text] for text in categories] == [1, 1, 1]
+
+
+def test_every_alphanumeric_code_point_is_a_field():
+    # ingest takes an alphanumeric doc_id without FIELD's regex: no alphanumeric is whitespace
+    alnum = "".join(c for c in map(chr, range(0x110000)) if c.isalnum())
+    assert FIELD.fullmatch(alnum)

@@ -536,6 +536,29 @@ def test_vector_round_trip_is_exact_and_every_prefix_fails(drawn):
             load_vectors(io.StringIO(text[:cut]))
 
 
+# 1e-05 and 1e16 are where repr switches to exponent form; 1e-4 and 1e15 are not
+_REPR_SWITCHES = st.sampled_from([-0.0, 5e-324, 1e-5, 1e-4, 1e15, 9999999999999998.0, 1e16, 1e22,
+                                  -1e22, 0.1, -123.456])
+
+
+def reference_save_vectors(model):
+    """save_vectors' text by a repr(float(c)) call per component."""
+    rows = [f"{term} " + " ".join(repr(float(c)) for c in model._matrix[i]) + "\n"
+            for i, term in enumerate(model.terms)]
+    return f"{len(model)} {model.dim}\n" + "".join(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.text("abz09\u00e9:-", min_size=1, max_size=3), min_size=n, max_size=n,
+             unique=True),
+    arrays(np.float64, st.tuples(st.just(n), st.integers(1, 4)),
+           elements=st.one_of(_REPR_SWITCHES, _COMPONENTS)))))
+def test_saved_text_is_each_components_repr(drawn):
+    model = EmbeddingModel(*drawn)
+    assert saved(model) == reference_save_vectors(model)
+
+
 def reference_load_vectors(text):
     """load_vectors line by line, with a float() call per component, for a complete file
     whose header is '<n> <dim>' with dim >= 1: (terms, matrix), or the error raised."""

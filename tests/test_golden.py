@@ -1,11 +1,13 @@
 """Golden CLI transcripts: the exact stdout and exit code of each call, and the sha256 of the
 index file, over a fixed 30-line corpus, a hand-written vector file with planted clusters
 (valentine, silver/gold, winter, coffee) and a one-word stop word file. Nothing in the fixture
-is trained.
+is trained. A second case pins `ingest` over the same corpus: its stdout and the sha256 of each
+partition file it writes.
 
     PYTHONPATH=src python tests/test_golden.py
 
-rewrites tests/golden/transcripts.json from the current code; the tests compare against it.
+rewrites tests/golden/transcripts.json and tests/golden/ingest.json from the current code; the
+tests compare against them.
 """
 
 import contextlib
@@ -20,6 +22,7 @@ from eventsearch.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 TRANSCRIPTS = GOLDEN / "transcripts.json"
+INGEST = GOLDEN / "ingest.json"
 SEARCH = ["search", "--index", "{index}", "--seed"]
 CALLS = [
     ["index", "--input", "{corpus}", "--month", "2018-02", "--output", "{index}"],
@@ -84,6 +87,22 @@ def test_call_unchanged(session, golden, number):
     assert session[1][number] == golden["calls"][number]
 
 
+def run_ingest(workdir: Path):
+    """{exit, stdout, partitions: {file name: sha256}} of `ingest` over the corpus into workdir;
+    stdout names workdir as {out_dir}."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["ingest", "--input", str(GOLDEN / "corpus.tsv"), "--out-dir", str(workdir)])
+    partitions = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                  for path in sorted(workdir.iterdir())}
+    return {"exit": code, "stdout": out.getvalue().replace(str(workdir), "{out_dir}"),
+            "partitions": partitions}
+
+
+def test_ingest_unchanged(tmp_path):
+    assert run_ingest(tmp_path) == json.loads(INGEST.read_text(encoding="utf-8"))
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -91,3 +110,6 @@ if __name__ == "__main__":
         sha, calls = run_calls(Path(workdir))
     TRANSCRIPTS.write_text(json.dumps({"index_sha256": sha, "calls": calls}, indent=1) + "\n",
                            encoding="utf-8")
+    with tempfile.TemporaryDirectory() as workdir:
+        INGEST.write_text(json.dumps(run_ingest(Path(workdir)), indent=1) + "\n",
+                          encoding="utf-8")

@@ -526,6 +526,29 @@ def test_load_index_parses_each_date_text_once(monkeypatch):
     assert [doc.sold_date for doc in loaded.doc_store.values()] == [doc.sold_date for doc in docs]
 
 
+def reference_save_index(index):
+    """save_index's text by a tokenize call on every document's category."""
+    lines = [f"INDEXv2 {index.month_key[0]:04d}-{index.month_key[1]:02d} {index.doc_count}\n"]
+    for doc in index.doc_store.values():
+        fields = ["D", doc.doc_id, doc.sold_date.isoformat(), str(len(tokenize(doc.category))),
+                  *doc.tokens]
+        lines.append(" ".join(fields) + "\n")
+    return "".join(lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["", "Jewelry", "Home & Garden", "!!", "a_b c"]),
+                          st.sampled_from(["", "Heart Necklace", "x", "Snow-Boots 42"]),
+                          st.integers(1, 28)), max_size=30))
+def test_saved_index_text_counts_each_documents_category(drawn):
+    docs = tuple(ItemDocument.create(f"d{i}", date(2018, 2, day), category, title)
+                 for i, (category, title, day) in enumerate(drawn))
+    index = build_index(MonthlyCorpus((2018, 2), docs))
+    out = io.StringIO()
+    save_index(index, out)
+    assert out.getvalue() == reference_save_index(index)
+
+
 def _reference_build(documents):
     """(postings, doc_freq, doc_len) by the nested loops of a per-term-sort builder."""
     postings = {}

@@ -78,7 +78,8 @@ class TrainConfig:
 
 
 class EmbeddingModel:
-    """Immutable term -> vector map for one month, held as one read-only (V, dim) matrix."""
+    """Immutable term -> vector map for one month, held as one read-only (V, dim) matrix and its
+    row norms, a zero row's as nan: that row's cosines come out nan, so it is nobody's neighbor."""
 
     def __init__(self, terms: Iterable[str], matrix: np.ndarray, month_key: MonthKey | None = None):
         """Row i of matrix is the vector of the i-th term; the model keeps its own copy."""
@@ -98,6 +99,7 @@ class EmbeddingModel:
         self._norms = _norms(self._matrix)
         if not np.isfinite(self._norms).all():
             raise ValueError("matrix holds a non-finite component or a norm that overflows")
+        self._norms[self._norms == 0.0] = np.nan
         self._matrix.flags.writeable = False
         self._norms.flags.writeable = False
         self.month_key = month_key
@@ -126,10 +128,10 @@ def _norms(matrix: np.ndarray) -> np.ndarray:
 
 
 def _cosines(model: EmbeddingModel, row: int) -> np.ndarray:
-    """The one cosine kernel: each row's cosine with the given row in [-1, 1]; nan if zero."""
-    with np.errstate(invalid="ignore"):  # einsum, unlike BLAS, is symmetric in the two rows
-        scores = np.einsum("ij,j->i", model._matrix, model._matrix[row])
-        scores /= model._norms * model._norms[row]
+    """The one cosine kernel: each row's cosine with the given row, which must not be zero, in
+    [-1, 1]; nan for a zero row, whose nan norm divides quietly, raising no floating-point flag."""
+    scores = np.einsum("ij,j->i", model._matrix, model._matrix[row])  # symmetric, unlike BLAS
+    scores /= model._norms * model._norms[row]
     return np.minimum(np.maximum(scores, -1.0, out=scores), 1.0, out=scores)
 
 
@@ -142,7 +144,7 @@ def sim(model: EmbeddingModel, i: str, j: str) -> float:
     if i == j:
         return 1.0
     a, b = model._rows[i], model._rows[j]
-    if model._norms[a] == 0.0 or model._norms[b] == 0.0:
+    if not (model._norms[a] > 0.0 and model._norms[b] > 0.0):
         raise ZeroVector("cosine similarity undefined for zero-magnitude vector")
     return float(_cosines(model, a)[b])
 
@@ -168,13 +170,14 @@ def most_similar(
 def _neighbors(model: EmbeddingModel, term: str, k: int, min_sim: float):
     """most_similar without its argument checks, and the scan it chose from."""
     row = model._rows[term]
-    if model._norms[row] == 0.0:
+    if not model._norms[row] > 0.0:
         raise ZeroVector(f"{term!r} has a zero vector")
     scores = _cosines(model, row)
     scores[row] = np.nan
     hits = (scores > min_sim).nonzero()[0]
     if len(hits) > k:  # keep the k best and every score tied with the k-th
-        hits = hits[scores[hits] >= np.partition(scores[hits], -k)[-k]]
+        (best := scores[hits]).partition(-k)
+        hits = hits[scores[hits] >= best[-k]]
     scored = [(model._terms[i], float(scores[i])) for i in hits]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k], scores

@@ -76,12 +76,15 @@ def save_index(index: InvertedIndex, dest: PathOrFile) -> None:
     Line 1 is "INDEXv2 <year>-<month> N"; then one "D" line per document
     with its tokens, prefixed by how many of them came from the category.
     Postings are not stored: load_index rebuilds them from the tokens.
-    doc_ids that are empty or contain whitespace cannot be represented and
-    raise FormatError.
+    A doc_id that is empty or holds whitespace, or a document dated outside
+    the index's month, would not load: FormatError, before dest is touched.
     """
-    for doc_id in index.doc_store:
+    for doc_id, doc in index.doc_store.items():
         if not FIELD.fullmatch(doc_id):
             raise FormatError(f"doc_id {doc_id!r} cannot be serialized in index format")
+        if doc.month_key != index.month_key:
+            raise FormatError(f"document {doc_id!r} dated {doc.sold_date.isoformat()} outside "
+                              f"partition {format_month(index.month_key)}")
     counts: dict[str, str] = {}  # category text -> its token count, counted once
     with writer(dest) as handle:
         handle.write(f"{FORMAT} {format_month(index.month_key)} {index.doc_count}\n")

@@ -81,7 +81,7 @@ def _accumulate(index: InvertedIndex, query: ExpandedQuery, scorer: ScorerKind, 
 def _results(index: InvertedIndex, accumulated, hits: np.ndarray) -> list[RankedResult]:
     """The RankedResults of the document rows hits, in that order, from _accumulate's output."""
     terms, counts, rows, contribution, scores = accumulated
-    position = np.full(index.doc_count, -1)
+    (position := np.empty(index.doc_count, np.intp)).fill(-1)
     position[hits] = np.arange(len(hits))
     at = position[rows]
     kept = (at >= 0).nonzero()[0]
@@ -132,7 +132,7 @@ def retrieve(
     accumulated = _accumulate(index, query, scorer, threshold)
     scores = accumulated[-1]
     hits = (scores > threshold).nonzero()[0]
-    hits = hits[np.argsort(-scores[hits], kind="stable")][:limit]  # rows ascend: doc_id order
+    hits = hits[(-scores[hits]).argsort(kind="stable")][:limit]  # rows ascend: doc_id order
     return _results(index, accumulated, hits)
 
 

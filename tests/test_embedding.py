@@ -40,6 +40,9 @@ from eventsearch.errors import (
     OutOfVocabulary,
     ZeroVector,
 )
+from eventsearch.expansion import StopwordList, expand_query
+from eventsearch.index import build_index
+from eventsearch.ranking import retrieve
 
 from util import (
     DRIFT_CONFIG,
@@ -300,6 +303,43 @@ class TestMostSimilar:
             most_similar(model, "z", k=4, min_sim=-1.0)
         with pytest.raises(ZeroVector):
             most_similar(model_from({"z": (0.0, 0.0)}), "z", k=4, min_sim=-1.0)
+
+
+
+@pytest.mark.parametrize("zero_row", [0, 2, 4], ids=["first", "middle", "last"])
+def test_zero_rows_nan_norm_never_leaks(zero_row, tmp_path):
+    """A zero row's norm is held as nan inside the model; no nan reaches a vector, a saved
+    file or a result, and the row round-trips bit for bit, the sign of each zero kept."""
+    terms = ["a", "b", "c", "d", "e"]
+    rows = [(1.0, 0.0, 0.5), (0.8, 0.6, 0.0), (0.0, 1.0, 0.2), (-0.5, 0.5, 1.0)]
+    rows.insert(zero_row, (0.0, -0.0, 0.0))
+    model, zero = EmbeddingModel(terms, np.array(rows)), terms[zero_row]
+    others = [t for t in terms if t != zero]
+    assert [np.isnan(norm) for norm in model._norms] == [t == zero for t in terms]
+    path = tmp_path / "m.vec"
+    save_vectors(model, path)
+    assert "nan" not in path.read_text(encoding="utf-8")
+    loaded = load_vectors(path)
+    assert loaded.terms == terms and loaded._matrix.tobytes() == model._matrix.tobytes()
+    assert saved(loaded) == path.read_text(encoding="utf-8")
+    index = build_index(corpus_from_token_lists([terms, ["a", "b"], [zero, zero], ["c"]]))
+    for m in (model, loaded):
+        assert m.vector(zero).tobytes() == np.array(rows[zero_row]).tobytes()
+        assert not any(np.isnan(m.vector(t)).any() for t in terms)
+        with pytest.raises(ZeroVector):
+            most_similar(m, zero, k=4, min_sim=-1.0)
+        for t in others:
+            scan = most_similar(m, t, k=4, min_sim=-1.0)
+            assert [u for u, _ in sorted(scan)] == [u for u in others if u != t]
+            assert not any(math.isnan(score) or math.isnan(sim(m, t, u)) for u, score in scan)
+            with pytest.raises(ZeroVector):
+                sim(m, t, zero)
+            query = expand_query([t], m, StopwordList([]), k=4, min_sim=0.01)
+            assert zero not in query.expansion_terms
+            assert not any(map(math.isnan, query.expansion_terms.values()))
+            for result in retrieve(index, query):
+                assert not math.isnan(result.score)
+                assert not any(math.isnan(value) for _, value in result.matched_terms)
 
 
 class TestVectorFileFormat:

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from eventsearch import ranking
-from eventsearch.embedding import EmbeddingModel
+from eventsearch.embedding import EmbeddingModel, most_similar, sim
 from eventsearch.errors import UndefinedBaseline
 from eventsearch.evaluation import format_report, recall_increase
 from eventsearch.expansion import StopwordList, expand_query
 from eventsearch.index import build_index
-from eventsearch.ranking import Bm25, TfIdf, retrieve
+from eventsearch.ranking import Bm25, TfIdf, count_hits, retrieve, score_document
 
 from util import corpus_from_token_lists, random_docs
 
@@ -170,3 +170,29 @@ class TestFormatReport:
             scenario_index, ["valentine"], model, NO_STOPS, scorer=Bm25()
         )
         assert "scorer=bm25(k1=1.2,b=0.75)" in format_report(report).splitlines()
+
+
+def test_query_path_calls_no_numpy_python_wrapper(monkeypatch):
+    """Once a model is built, a query goes through none of np.errstate, np.full, np.argsort and
+    np.partition: each costs a Python-level call per query. The model holds a zero row, and k=2
+    keeps two of valentine's three neighbors, the case that partitions."""
+    model = model_from({"valentine": (1.0, 0.0, 0.0), "heart": (0.9, 0.1, 0.0),
+                        "box": (0.0, 0.0, 0.0), "love": (0.8, 0.2, 0.1), "rose": (0.7, 0.3, 0.0),
+                        "snow": (0.0, 0.0, 1.0)})
+    index = build_index(corpus_from_token_lists(
+        [["valentine", "card"], ["heart", "box"], ["love", "rose", "rose"], ["snow", "boots"]]))
+
+    def run():
+        query = expand_query(["valentine"], model, NO_STOPS, k=2, min_sim=0.5)
+        return (sim(model, "valentine", "heart"), most_similar(model, "valentine", 2, 0.5), query,
+                retrieve(index, query), retrieve(index, query, Bm25(), limit=1),
+                score_document(index, "d0001", query), count_hits(index, query, TfIdf(), 0.0),
+                recall_increase(index, ["valentine"], model, NO_STOPS, k=2, min_sim=0.5))
+
+    expected = run()
+    for name in ("errstate", "full", "argsort", "partition"):
+        def refused(*args, name=name, **kwargs):
+            raise AssertionError(f"np.{name} called on the query path")
+        monkeypatch.setattr(np, name, refused)
+    assert run() == expected
+    assert len(expected[1]) == 2 and len(expected[3]) == 3

@@ -331,6 +331,32 @@ class TestPersistence:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["idx.txt"]
 
+    def test_doc_outside_the_month_is_refused_before_dest_is_touched(self, two_doc_index,
+                                                                      tmp_path):
+        # load_index would refuse the line such a document gets
+        path = tmp_path / "idx.txt"
+        save_index(two_doc_index, path)
+        before = path.read_bytes()
+        doc = ItemDocument.create("d1", date(2018, 3, 5), "cat", "heart necklace")
+        index = build_index(MonthlyCorpus((2018, 2), (doc,)))
+        for dest in (path, out := io.StringIO()):
+            with pytest.raises(FormatError, match="dated 2018-03-05 outside partition 2018-02"):
+                save_index(index, dest)
+        assert path.read_bytes() == before and out.getvalue() == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["idx.txt"]
+
+    def test_save_failing_mid_write_keeps_old_file(self, two_doc_index, tmp_path):
+        path = tmp_path / "idx.txt"
+        save_index(two_doc_index, path)
+        before = path.read_bytes()
+        good = two_doc_index.doc_store["d0000"]
+        broken = ItemDocument("d0001", date(2018, 2, 2), None, "b", ("b",))  # fails mid-write
+        index = InvertedIndex((2018, 2), {"d0000": good, "d0001": broken})
+        with pytest.raises(AttributeError):
+            save_index(index, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["idx.txt"]
+
 
 _TOKENS = st.lists(st.text("abz09é", min_size=1, max_size=3), max_size=4)
 

@@ -61,15 +61,15 @@ def _read_documents(path: str):
 
 
 def _partition(args) -> MonthlyCorpus:
+    wanted = None if args.month is None else parse_month(args.month)  # before reading input
     partitions = segment_by_month(_read_documents(args.input))
     if not partitions:
         raise EventSearchError("corpus contains no documents")
     available = ", ".join(format_month(p.month_key) for p in partitions)
-    if args.month is None:
+    if wanted is None:
         if len(partitions) > 1:
             raise EventSearchError(f"corpus spans several months ({available}); pass --month")
         return partitions[0]
-    wanted = parse_month(args.month)
     for part in partitions:
         if part.month_key == wanted:
             return part

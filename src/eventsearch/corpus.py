@@ -81,17 +81,26 @@ class ItemDocument:
 
 @dataclass(frozen=True)
 class MonthlyCorpus:
-    """Documents sold within one calendar month; the unit of embedding training."""
+    """Documents sold within one calendar month, the unit of training and indexing, and the one
+    statement of a partition's rules: YYYY-MM writes and reads month_key back unchanged, doc_ids
+    are unique (else DuplicateDocumentId), and every document is dated in month_key."""
 
     month_key: MonthKey
     documents: tuple[ItemDocument, ...]
 
     def __post_init__(self):
+        month = format_month(self.month_key)
+        if parse_month(month) != self.month_key:
+            raise ValueError(f"invalid month key {self.month_key!r}")
         if len({doc.doc_id for doc in self.documents}) != len(self.documents):
             counts = Counter(doc.doc_id for doc in self.documents)
             dupes = [doc_id for doc_id, n in counts.items() if n > 1]
-            month = format_month(self.month_key)
             raise DuplicateDocumentId(f"duplicate doc_ids in {month}: {dupes}")
+        for sold in {doc.sold_date for doc in self.documents}:  # each distinct date once
+            if (sold.year, sold.month) != self.month_key:
+                doc = next(doc for doc in self.documents if doc.month_key != self.month_key)
+                raise ValueError(f"document {doc.doc_id!r} dated {doc.sold_date.isoformat()} "
+                                 f"outside partition {month}")
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -162,11 +171,7 @@ def ingest(lines: Iterable[str]) -> IngestResult:
 
 
 def segment_by_month(documents: Iterable[ItemDocument]) -> list[MonthlyCorpus]:
-    """Partition documents by (year, month) of sold_date, ascending by month.
-
-    Documents keep their input order within each partition; doc_ids must be
-    unique within a partition.
-    """
+    """Partition documents by (year, month) of sold_date, ascending, each in its input order."""
     buckets: dict[MonthKey, list[ItemDocument]] = {}
     for doc in documents:
         buckets.setdefault(doc.month_key, []).append(doc)

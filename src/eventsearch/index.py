@@ -20,13 +20,13 @@ FORMAT = "INDEXv2"
 
 
 class InvertedIndex:
-    """Columnar postings (Zobel & Moffat, ACM CSUR 2006): term i of the sorted terms has postings
-    offsets[i]:offsets[i + 1] (Python ints) of doc_rows and tfs; row r is doc_ids[r], the r-th
-    doc_id in sorted order, of doc_len[r] tokens. doc_store keeps its input order."""
+    """Columnar postings (Zobel & Moffat, ACM CSUR 2006) of a MonthlyCorpus: term i of the sorted
+    terms has postings offsets[i]:offsets[i + 1] (Python ints) of doc_rows and tfs; row r is
+    doc_ids[r], the r-th doc_id in sorted order, of doc_len[r] tokens; doc_store keeps its order."""
 
-    def __init__(self, month_key: MonthKey, doc_store: dict[str, ItemDocument]):
-        self.month_key = month_key
-        self.doc_store = doc_store
+    def __init__(self, corpus: MonthlyCorpus):
+        self.month_key = corpus.month_key
+        self.doc_store = doc_store = {doc.doc_id: doc for doc in corpus.documents}
         # Python's order, not numpy's: numpy compares 'a\x00' equal to 'a'
         self.doc_ids = sorted(doc_store)
         self.doc_count = len(doc_store)
@@ -67,24 +67,20 @@ class InvertedIndex:
 
 def build_index(corpus: MonthlyCorpus) -> InvertedIndex:
     """Index every (term, document) occurrence of a monthly corpus."""
-    return InvertedIndex(corpus.month_key, {doc.doc_id: doc for doc in corpus.documents})
+    return InvertedIndex(corpus)
 
 
 def save_index(index: InvertedIndex, dest: PathOrFile) -> None:
     """Write the index as a single portable UTF-8 file.
 
-    Line 1 is "INDEXv2 <year>-<month> N"; then one "D" line per document
-    with its tokens, prefixed by how many of them came from the category.
-    Postings are not stored: load_index rebuilds them from the tokens.
-    A doc_id that is empty or holds whitespace, or a document dated outside
-    the index's month, would not load: FormatError, before dest is touched.
+    Line 1 is "INDEXv2 <year>-<month> N"; then one "D" line per document with its tokens,
+    prefixed by how many of them came from the category. Postings are not stored: load_index
+    rebuilds them from the tokens. A doc_id that is empty or holds whitespace would not load:
+    FormatError, before dest is touched. Dates pass: the MonthlyCorpus dated each in its month.
     """
-    for doc_id, doc in index.doc_store.items():
+    for doc_id in index.doc_store:
         if not FIELD.fullmatch(doc_id):
             raise FormatError(f"doc_id {doc_id!r} cannot be serialized in index format")
-        if doc.month_key != index.month_key:
-            raise FormatError(f"document {doc_id!r} dated {doc.sold_date.isoformat()} outside "
-                              f"partition {format_month(index.month_key)}")
     counts: dict[str, str] = {}  # category text -> its token count, counted once
     with writer(dest) as handle:
         handle.write(f"{FORMAT} {format_month(index.month_key)} {index.doc_count}\n")
@@ -155,4 +151,4 @@ def load_index(source: PathOrFile) -> InvertedIndex:
         if doc.doc_id in documents:
             raise FormatError(f"duplicate doc_id {doc.doc_id!r}", line=lineno)
         documents[doc.doc_id] = doc
-    return InvertedIndex(month_key, documents)
+    return InvertedIndex(MonthlyCorpus(month_key, tuple(documents.values())))

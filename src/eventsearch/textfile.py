@@ -80,7 +80,7 @@ def writer(dest: PathOrFile) -> Iterator[IO[str]]:
     if not isinstance(dest, (str, Path)):
         yield dest
         return
-    temp = f"{dest}.{os.getpid()}.tmp"
+    temp = f"{dest}.{os.urandom(8).hex()}.tmp"  # one name per write: a dead writer's is not reused
     handle = open(temp, "x", encoding="utf-8", newline="\n")
     try:
         with handle:

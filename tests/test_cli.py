@@ -6,6 +6,7 @@ import contextlib
 import io
 import logging
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -23,7 +24,7 @@ from eventsearch.expansion import expand_query, format_expansion
 from eventsearch.index import load_index
 from eventsearch.ranking import TfIdf, format_results, retrieve
 
-from util import cooccurrence_corpus
+from util import cooccurrence_corpus, date_failing_to_write
 
 CORPUS = (
     "# sample corpus\n"
@@ -102,15 +103,23 @@ class TestIngestCommand:
         run(capsys, *argv)
         before = (out_dir / "2018-02.tsv").read_bytes()
 
+        listings = []  # the folder's names when the write of line 2's date fails
+
         def broken_segment(documents):
             feb, *rest = segment_by_month(documents)
             docs = list(feb.documents)
-            docs[1] = replace(docs[1], sold_date=None)  # line 1 is written, then line 2 raises
+            day = docs[1].sold_date
+            sold = date_failing_to_write(day.year, day.month, day.day, out_dir, listings)
+            docs[1] = replace(docs[1], sold_date=sold)  # a February date: the partition takes it
             return [MonthlyCorpus(feb.month_key, tuple(docs)), *rest]
 
         monkeypatch.setattr(cli, "segment_by_month", broken_segment)
-        with pytest.raises(AttributeError):
-            main(argv)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "eventsearch: error: no space left on device"
+        (names,) = listings  # the write into a temporary file was under way
+        assert names[0] == "2018-02.tsv" and names[2] == "2018-08.tsv" and len(names) == 3
+        assert re.fullmatch(r"2018-02\.tsv\.\w+\.tmp", names[1])
         assert (out_dir / "2018-02.tsv").read_bytes() == before
         assert sorted(p.name for p in out_dir.iterdir()) == ["2018-02.tsv", "2018-08.tsv"]
 
@@ -448,6 +457,17 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize("command", ["train", "index"])
+    def test_month_refused_before_input_is_read(self, tmp_path, capsys, command):
+        # the input does not exist: reading it would exit 2
+        code, out, err = run(
+            capsys, command, "--input", str(tmp_path / "absent.tsv"), "--month", "2018-13",
+            "--output", str(tmp_path / "out"),
+        )
+        assert (code, out) == (1, "")
+        assert err == "eventsearch: error: month out of range in '2018-13'\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_input_file(self, tmp_path, capsys):
         code, _, err = run(

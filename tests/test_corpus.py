@@ -1,17 +1,20 @@
 """Tokenization, ingestion, and monthly partitioning."""
 
+import contextlib
+import io
 import string
 from collections import Counter
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eventsearch import corpus as corpus_module
 from eventsearch.corpus import (
     ItemDocument,
+    MonthlyCorpus,
     format_month,
     ingest,
     parse_month,
@@ -20,6 +23,7 @@ from eventsearch.corpus import (
     tokenize,
 )
 from eventsearch.errors import DuplicateDocumentId
+from eventsearch.index import build_index, load_index, save_index
 from eventsearch.textfile import FIELD
 
 
@@ -166,6 +170,32 @@ class TestMonthHelpers:
             parse_month(bad)
 
 
+class TestMonthlyCorpus:
+    def test_document_outside_the_month_refused(self):
+        doc = ItemDocument.create("d1", date(2018, 3, 5), "cat", "heart necklace")
+        # 30 more strays, each on its own date: the one named is the first in document order
+        more = [ItemDocument.create(f"s{day}", date(2018, 3, day), "", "a")
+                for day in (*range(31, 5, -1), 1, 2, 3, 4)]
+        feb = ItemDocument.create("d0", date(2018, 2, 28), "", "a")
+        with pytest.raises(ValueError) as excinfo:
+            MonthlyCorpus((2018, 2), (feb, doc, *more))
+        assert str(excinfo.value) == "document 'd1' dated 2018-03-05 outside partition 2018-02"
+
+    @pytest.mark.parametrize("key", [(2018, 13), (2018, 0), (12345, 1), (-1, 1), (2018, 2.0),
+                                     [2018, 2], (2018, 2, 1)])
+    def test_key_that_yyyy_mm_cannot_hold_refused(self, key):
+        with pytest.raises(ValueError):
+            MonthlyCorpus(key, ())
+
+    def test_year_zero_is_a_month(self):
+        assert MonthlyCorpus((0, 1), ()).month_key == (0, 1)
+
+    def test_duplicate_checked_before_dates(self):
+        docs = [ItemDocument.create("x", date(2018, m, 1), "c", "t") for m in (3, 3)]
+        with pytest.raises(DuplicateDocumentId, match=r"2018-02: \['x'\]"):
+            MonthlyCorpus((2018, 2), tuple(docs))
+
+
 def _reference_ingest(lines):
     """(documents, errors) of ingest by parse_record_line on each line that is not skipped."""
     documents, errors = [], []
@@ -244,3 +274,49 @@ def test_every_alphanumeric_code_point_is_a_field():
     # ingest takes an alphanumeric doc_id without FIELD's regex: no alphanumeric is whitespace
     alnum = "".join(c for c in map(chr, range(0x110000)) if c.isalnum())
     assert FIELD.fullmatch(alnum)
+
+
+_KEY_YEARS = st.sampled_from([-1, 0, 1, 2018, 9999, 10000, 12345]) | st.integers(-2, 12500)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.tuples(_KEY_YEARS, st.integers(-1, 14)),
+       specs=st.lists(st.tuples(st.sampled_from("abcdefghijkl"), st.integers(-3, 34),
+                                st.text("ab \u00e91-", max_size=6)), max_size=6))
+@example(key=(2018, 0), specs=[])
+@example(key=(2018, 13), specs=[])
+@example(key=(12345, 1), specs=[])
+@example(key=(0, 1), specs=[])
+@example(key=(-1, 1), specs=[])
+@example(key=(0, 1), specs=[("a", 0, "x")])
+@example(key=(2018, 2), specs=[("a", 27, "x"), ("b", 28, "y")])
+@example(key=(2018, 12), specs=[("a", -1, "x"), ("b", 0, "y"), ("c", 30, ""), ("d", 31, "z")])
+def test_partition_rules_and_round_trip(key, specs):
+    """MonthlyCorpus refuses exactly a key YYYY-MM cannot hold, a repeated doc_id or a document
+    dated outside the key; whatever it takes saves and loads back unchanged. Documents are dated
+    a few days either side of the first and last day of the month nearest the key."""
+    first = date(min(max(key[0], 1), 9999), min(max(key[1], 1), 12), 1)
+    docs = []
+    for doc_id, offset, title in specs:
+        with contextlib.suppress(OverflowError):  # before year 1 or after 9999
+            docs.append(ItemDocument.create(doc_id, first + timedelta(offset), "", title))
+    month = f"{key[0]:04d}-{key[1]:02d}" if 0 <= key[0] <= 9999 and 1 <= key[1] <= 12 else None
+    strays = [doc for doc in docs if (doc.sold_date.year, doc.sold_date.month) != key]
+    if month is None:
+        with pytest.raises(ValueError):
+            MonthlyCorpus(key, tuple(docs))
+    elif len({doc.doc_id for doc in docs}) < len(docs):
+        with pytest.raises(DuplicateDocumentId):
+            MonthlyCorpus(key, tuple(docs))
+    elif strays:
+        with pytest.raises(ValueError) as excinfo:
+            MonthlyCorpus(key, tuple(docs))
+        assert str(excinfo.value) == (f"document {strays[0].doc_id!r} dated "
+                                      f"{strays[0].sold_date.isoformat()} outside partition {month}")
+    else:
+        out = io.StringIO()
+        save_index(build_index(MonthlyCorpus(key, tuple(docs))), out)
+        loaded = load_index(io.StringIO(out.getvalue()))
+        assert loaded.month_key == key and out.getvalue().startswith(f"INDEXv2 {month} ")
+        assert [(d.doc_id, d.tokens) for d in loaded.doc_store.values()] == [
+            (d.doc_id, d.tokens) for d in docs]

@@ -4,7 +4,9 @@ import codecs
 import contextlib
 import io
 import math
+import os
 import re
+import stat
 from datetime import date
 
 import numpy as np
@@ -19,7 +21,7 @@ from eventsearch.errors import DuplicateDocumentId, FormatError
 from eventsearch.expansion import ExpandedQuery
 from eventsearch.index import InvertedIndex, build_index, load_index, save_index
 
-from util import Unseekable, corpus_from_token_lists
+from util import Unseekable, corpus_from_token_lists, date_failing_to_write
 
 
 @pytest.fixture
@@ -311,7 +313,8 @@ class TestPersistence:
 
     def test_file_holds_header_and_documents_only(self, two_doc_index):
         empty = ItemDocument.create("d0002", date(2018, 2, 3), "", "")  # no tokens at all
-        index = InvertedIndex((2018, 2), {**two_doc_index.doc_store, "d0002": empty})
+        docs = (*two_doc_index.doc_store.values(), empty)
+        index = InvertedIndex(MonthlyCorpus((2018, 2), docs))
         out = io.StringIO()
         save_index(index, out)
         assert out.getvalue() == (
@@ -324,26 +327,49 @@ class TestPersistence:
         save_index(two_doc_index, path)
         before = path.read_bytes()
         good = two_doc_index.doc_store["d0000"]
-        broken = ItemDocument("d0001", None, "", "b", ("b",))  # no date: fails mid-write
-        index = InvertedIndex((2018, 2), {"d0000": good, "d0001": broken})
-        with pytest.raises(AttributeError):
+        listings = []  # the folder's names when the write of d0001's date fails
+        sold = date_failing_to_write(2018, 2, 2, tmp_path, listings)
+        broken = ItemDocument("d0001", sold, "", "b", ("b",))
+        index = InvertedIndex(MonthlyCorpus((2018, 2), (good, broken)))
+        with pytest.raises(OSError, match="no space left"):
             save_index(index, path)
+        (names,) = listings  # line 2 was written, then line 3 failed, into a temporary file
+        assert names[0] == "idx.txt" and re.fullmatch(r"idx\.txt\.\w+\.tmp", names[1])
+        assert len(names) == 2
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["idx.txt"]
 
     def test_doc_outside_the_month_is_refused_before_dest_is_touched(self, two_doc_index,
                                                                       tmp_path):
-        # load_index would refuse the line such a document gets
+        # load_index would refuse the line such a document gets; its corpus refuses it first,
+        # so no index holding it is built, and no save of one starts
         path = tmp_path / "idx.txt"
         save_index(two_doc_index, path)
         before = path.read_bytes()
         doc = ItemDocument.create("d1", date(2018, 3, 5), "cat", "heart necklace")
-        index = build_index(MonthlyCorpus((2018, 2), (doc,)))
         for dest in (path, out := io.StringIO()):
-            with pytest.raises(FormatError, match="dated 2018-03-05 outside partition 2018-02"):
-                save_index(index, dest)
+            with pytest.raises(ValueError,
+                               match="'d1' dated 2018-03-05 outside partition 2018-02"):
+                save_index(build_index(MonthlyCorpus((2018, 2), (doc,))), dest)
         assert path.read_bytes() == before and out.getvalue() == ""
         assert [p.name for p in tmp_path.iterdir()] == ["idx.txt"]
+
+    def test_leftover_temporary_file_does_not_block_a_save(self, two_doc_index, tmp_path):
+        # a save killed mid-write leaves its temporary file, under a name that once held the pid
+        # this process may now have
+        path = tmp_path / "idx.txt"
+        planted = tmp_path / f"idx.txt.{os.getpid()}.tmp"
+        planted.write_text("INDEXv2 2018-02 2\n", encoding="utf-8")
+        planted_stat = planted.stat()
+        save_index(two_doc_index, path)
+        _assert_same_index(two_doc_index, load_index(path))
+        assert planted.read_text(encoding="utf-8") == "INDEXv2 2018-02 2\n"
+        assert planted.stat().st_mtime_ns == planted_stat.st_mtime_ns
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["idx.txt", planted.name]
+        # the saved file has the mode open() gives a new file, not a private temporary's
+        probe = tmp_path / "probe"
+        probe.open("w").close()
+        assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(probe.stat().st_mode)
 
     def test_save_failing_mid_write_keeps_old_file(self, two_doc_index, tmp_path):
         path = tmp_path / "idx.txt"
@@ -351,7 +377,7 @@ class TestPersistence:
         before = path.read_bytes()
         good = two_doc_index.doc_store["d0000"]
         broken = ItemDocument("d0001", date(2018, 2, 2), None, "b", ("b",))  # fails mid-write
-        index = InvertedIndex((2018, 2), {"d0000": good, "d0001": broken})
+        index = InvertedIndex(MonthlyCorpus((2018, 2), (good, broken)))
         with pytest.raises(AttributeError):
             save_index(index, path)
         assert path.read_bytes() == before

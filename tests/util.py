@@ -23,6 +23,19 @@ class Unseekable(io.BytesIO):
         return False
 
 
+def date_failing_to_write(year, month, day, folder, listings):
+    """A date, so every partition rule takes it, whose isoformat (which a save calls to write
+    it) appends the sorted file names in folder to listings, then raises OSError as a write
+    failing midway would."""
+
+    class FailingDate(date):
+        def isoformat(self):
+            listings.append(sorted(p.name for p in folder.iterdir()))
+            raise OSError("no space left on device")
+
+    return FailingDate(year, month, day)
+
+
 def corpus_from_token_lists(token_lists, month=(2018, 2)):
     """MonthlyCorpus whose doc titles are exactly the given token lists."""
     year, mon = month

@@ -119,7 +119,6 @@ def _train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--lr", type=float, default=TrainConfig.lr_initial, dest="lr_initial",
                    metavar="LR", help="initial learning rate")
-    p.add_argument("--lr-final", type=float, default=TrainConfig.lr_final)
     p.add_argument("--min-count", type=int, default=TrainConfig.min_count)
     p.add_argument("--seed", type=int, default=TrainConfig.rng_seed, dest="rng_seed",
                    metavar="SEED", help="RNG seed for reproducible training")

@@ -25,8 +25,10 @@ MonthKey = tuple[int, int]
 
 def tokenize(text: str) -> list[str]:
     """The package's one normalizer: lowercases text and splits it on any non-alphanumeric
-    character, dropping empty fragments. Digit-only and single-character tokens are kept."""
-    return _ALNUM_RUN.findall(text.lower())
+    character, dropping empty fragments; digit-only and one-character tokens are kept. Words
+    all alphanumeric, one space apart, skip the regex: every alphanumeric is a word character."""
+    words = (text := text.lower()).split(" ")
+    return words if "" not in words and "".join(words).isalnum() else _ALNUM_RUN.findall(text)
 
 
 def format_month(month_key: MonthKey) -> str:
@@ -54,25 +56,24 @@ def parse_month(text: str) -> MonthKey:
     return year, month
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ItemDocument:
-    """One sellable item; the unit of retrieval."""
+    """One sellable item, the unit of retrieval. Its tokens are derived, never given: the
+    category's, then the title's, from one tokenize of both texts joined by a space; a category
+    or title that is not a str raises TypeError. dataclasses.replace derives them anew."""
 
     doc_id: str
     sold_date: date
     category: str
     title: str
-    tokens: tuple[str, ...]
+    tokens: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "tokens", tuple(tokenize(self.category + " " + self.title)))
 
     @classmethod
     def create(cls, doc_id: str, sold_date: date, category: str, title: str) -> "ItemDocument":
-        """Build a document whose tokens are category's, then title's."""
-        return cls._create(doc_id, sold_date, category, tokenize(category), title)
-
-    @classmethod
-    def _create(cls, doc_id: str, sold_date: date, category: str, category_tokens: list[str],
-                title: str) -> "ItemDocument":
-        return cls(doc_id, sold_date, category, title, (*category_tokens, *tokenize(title)))
+        return cls(doc_id, sold_date, category, title)  # the constructor, by an older name
 
     @property
     def month_key(self) -> MonthKey:
@@ -82,16 +83,17 @@ class ItemDocument:
 @dataclass(frozen=True)
 class MonthlyCorpus:
     """Documents sold within one calendar month, the unit of training and indexing, and the one
-    statement of a partition's rules: YYYY-MM writes and reads month_key back unchanged, doc_ids
-    are unique (else DuplicateDocumentId), and every document is dated in month_key."""
+    statement of a partition's rules: month_key is two ints, not bools, that YYYY-MM writes and
+    reads back, doc_ids are unique (else DuplicateDocumentId), and every document is dated in it."""
 
     month_key: MonthKey
     documents: tuple[ItemDocument, ...]
 
     def __post_init__(self):
-        month = format_month(self.month_key)
-        if parse_month(month) != self.month_key:
-            raise ValueError(f"invalid month key {self.month_key!r}")
+        if not (isinstance(key := self.month_key, tuple) and list(map(type, key)) == [int, int]
+                and 0 <= key[0] <= 9999 and 1 <= key[1] <= 12):
+            raise ValueError(f"invalid month key {key!r}")
+        month = format_month(key)
         if len({doc.doc_id for doc in self.documents}) != len(self.documents):
             counts = Counter(doc.doc_id for doc in self.documents)
             dupes = [doc_id for doc_id, n in counts.items() if n > 1]
@@ -119,13 +121,12 @@ def parse_record_line(line: str) -> ItemDocument:
 
     Raises ValueError on wrong field count, an empty or whitespace-holding doc_id, or a bad date.
     """
-    return _parse_record(line, {}, {})
+    return _parse_record(line, {})
 
 
-def _parse_record(line: str, dates: dict[str, date],
-                  categories: dict[str, list[str]]) -> ItemDocument:
-    """parse_record_line, reading each date and category's tokens from dates and categories,
-    which gain the texts they lack; a date text that fails parse_date is not kept."""
+def _parse_record(line: str, dates: dict[str, date]) -> ItemDocument:
+    """parse_record_line, reading each date from dates, which gains the date texts it lacks; a
+    text that fails parse_date is not kept."""
     fields = line.split("\t")
     if len(fields) != 4:
         raise ValueError(f"expected 4 tab-separated fields, got {len(fields)}")
@@ -134,9 +135,7 @@ def _parse_record(line: str, dates: dict[str, date],
         raise ValueError(f"invalid doc_id {doc_id!r}")
     if (sold := dates.get(date_text)) is None:
         sold = dates[date_text] = parse_date(date_text)
-    if (category_tokens := categories.get(category)) is None:
-        category_tokens = categories[category] = tokenize(category)
-    return ItemDocument._create(doc_id, sold, category, category_tokens, title)
+    return ItemDocument(doc_id, sold, category, title)
 
 
 def ingest(lines: Iterable[str]) -> IngestResult:
@@ -144,20 +143,18 @@ def ingest(lines: Iterable[str]) -> IngestResult:
 
     Empty lines and lines starting with '#' are skipped; any other line, one
     of spaces too, is a record, and a malformed one is reported with its line
-    number. Each distinct date text is parsed, and each distinct category
-    tokenized, once per call. A duplicate doc_id is fatal and raises
-    DuplicateDocumentId.
+    number. Each distinct date text is parsed once per call. A duplicate
+    doc_id is fatal and raises DuplicateDocumentId.
     """
     result = IngestResult()
     seen: dict[str, int] = {}
     dates: dict[str, date] = {}
-    categories: dict[str, list[str]] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
         if not line or line.startswith("#"):
             continue
         try:
-            doc = _parse_record(line, dates, categories)
+            doc = _parse_record(line, dates)
         except ValueError as exc:
             result.errors.append((lineno, str(exc)))
             continue

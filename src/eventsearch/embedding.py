@@ -41,6 +41,8 @@ BATCH_PAIRS = 64
 BLOCK_PAIRS = 64 * BATCH_PAIRS
 # vector-file rows per numpy conversion; a whole 3.4k-row file at once peaks 8 MB higher
 BLOCK_ROWS = 512
+# the learning rate falls linearly from TrainConfig.lr_initial to this over the whole run
+LR_FINAL = 1e-4
 
 
 def _integer(name: str, value) -> int:
@@ -59,7 +61,6 @@ class TrainConfig:
     negatives: int = 5
     epochs: int = 5
     lr_initial: float = 0.025
-    lr_final: float = 1e-4
     min_count: int = 2
     rng_seed: int = 42
 
@@ -69,10 +70,9 @@ class TrainConfig:
             object.__setattr__(self, name, value := _integer(name, getattr(self, name)))
             if value < bound:
                 raise ValueError(f"{name} must be >= {bound}, got {value}")
-        if not 0 < self.lr_final <= self.lr_initial:
-            raise ValueError(
-                f"need 0 < lr_final <= lr_initial, got {self.lr_final} / {self.lr_initial}"
-            )
+        if not LR_FINAL <= self.lr_initial:
+            raise ValueError(f"lr_initial must be >= {LR_FINAL}, the final learning rate, "
+                             f"got {self.lr_initial}")
         if not math.isfinite(self.lr_initial):
             raise ValueError(f"lr_initial must be finite, got {self.lr_initial}")
 
@@ -292,7 +292,7 @@ def train(corpus: MonthlyCorpus, cfg: TrainConfig | None = None) -> EmbeddingMod
                 block = slice(start, start + BLOCK_PAIRS)
                 center, context = centers[block], contexts[block]
                 steps = epoch_start + start + np.arange(len(center))
-                lrs = cfg.lr_initial + (cfg.lr_final - cfg.lr_initial) * (steps / total)
+                lrs = cfg.lr_initial + (LR_FINAL - cfg.lr_initial) * (steps / total)
                 draws = noise.draw(rng.random((len(center), cfg.negatives)))
                 rows = np.column_stack((center, V + context, V + np.minimum(draws, V - 1)))
                 dropped = rows[:, 2:] == rows[:, 1, None]

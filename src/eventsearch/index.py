@@ -75,8 +75,9 @@ def save_index(index: InvertedIndex, dest: PathOrFile) -> None:
 
     Line 1 is "INDEXv2 <year>-<month> N"; then one "D" line per document with its tokens,
     prefixed by how many of them came from the category. Postings are not stored: load_index
-    rebuilds them from the tokens. A doc_id that is empty or holds whitespace would not load:
-    FormatError, before dest is touched. Dates pass: the MonthlyCorpus dated each in its month.
+    rebuilds them from the tokens. Every line written loads back if each sold_date is a date, not
+    a datetime: a doc_id that is empty or holds whitespace raises FormatError before dest is
+    touched, the MonthlyCorpus dated each document in its month, ItemDocument derived its tokens.
     """
     for doc_id in index.doc_store:
         if not FIELD.fullmatch(doc_id):
@@ -116,15 +117,12 @@ def _parse_doc_line(line: str, lineno: int, month_key: MonthKey,
     cat_count = int(cat_count_text)
     if cat_count > len(tokens):
         raise FormatError(f"category token count {cat_count} out of range", line=lineno)
-    # lowercase alphanumeric tokens are exactly tokenize(joined): only other lines are tokenized
-    joined = " ".join(tokens)
-    if not all(map(str.isalnum, tokens)) or joined.lower() != joined:
-        if tokenize(joined) != tokens:
-            raise FormatError(f"tokens are not in normalized form: {tokens}", line=lineno)
-    # raw category/title text is not stored; rebuild normalized forms from tokens
-    category = " ".join(tokens[:cat_count])
-    title = " ".join(tokens[cat_count:])
-    return ItemDocument(doc_id, sold, category, title, tuple(tokens))
+    # raw category/title text is not stored; the tokens' texts give a document whose derived
+    # tokens are the written ones exactly when those are in tokenize's form
+    doc = ItemDocument(doc_id, sold, " ".join(tokens[:cat_count]), " ".join(tokens[cat_count:]))
+    if doc.tokens != tuple(tokens):
+        raise FormatError(f"tokens are not in normalized form: {tokens}", line=lineno)
+    return doc
 
 
 def load_index(source: PathOrFile) -> InvertedIndex:

@@ -6,8 +6,15 @@ They exist so the fast paths can be checked against exhaustive scans.
 """
 
 import math
+import re
 
 from util import hand_cosine
+
+
+def reference_tokenize(text):
+    """tokenize by its definition alone: the maximal runs of Unicode letters and digits of the
+    lowercased text."""
+    return re.findall(r"[^\W_]+", text.lower())
 
 
 def brute_force_retrieve(docs, weights, threshold=0.0, limit=None, bm25=None):

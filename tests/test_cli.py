@@ -17,7 +17,7 @@ import pytest
 from eventsearch import cli
 from eventsearch.cli import main
 from eventsearch.corpus import MonthlyCorpus, ingest, segment_by_month
-from eventsearch.embedding import TrainConfig, load_vectors, save_vectors, train
+from eventsearch.embedding import LR_FINAL, TrainConfig, load_vectors, save_vectors, train
 from eventsearch.errors import EventSearchError
 from eventsearch.evaluation import format_report, recall_increase
 from eventsearch.expansion import expand_query, format_expansion
@@ -158,11 +158,11 @@ class TestTrainCommand:
             (["--negatives", "2"], replace(TrainConfig(), negatives=2)),
             (["--epochs", "9"], replace(TrainConfig(), epochs=9)),
             (["--lr", "0.5"], replace(TrainConfig(), lr_initial=0.5)),
-            (["--lr-final", "0.001"], replace(TrainConfig(), lr_final=0.001)),
+            (["--lr", "1e-4"], replace(TrainConfig(), lr_initial=LR_FINAL)),
             (["--min-count", "3"], replace(TrainConfig(), min_count=3)),
             (["--seed", "11"], replace(TrainConfig(), rng_seed=11)),
         ],
-        ids=["defaults", "dim", "window", "negatives", "epochs", "lr", "lr-final", "min-count",
+        ids=["defaults", "dim", "window", "negatives", "epochs", "lr", "lr-floor", "min-count",
              "seed"],
     )
     def test_each_flag_reaches_its_config_field(self, workspace, capsys, monkeypatch,

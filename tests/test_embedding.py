@@ -20,6 +20,7 @@ from eventsearch.corpus import ingest, segment_by_month
 from eventsearch.embedding import (
     BATCH_PAIRS,
     BLOCK_ROWS,
+    LR_FINAL,
     EmbeddingModel,
     TrainConfig,
     _NoiseTable,
@@ -865,7 +866,7 @@ def reference_train(corpus, cfg):
         for lo in range(0, n_pairs, BATCH_PAIRS):
             center, context = centers[lo : lo + BATCH_PAIRS], contexts[lo : lo + BATCH_PAIRS]
             steps = epoch_start + lo + np.arange(len(center))
-            lr = cfg.lr_initial + (cfg.lr_final - cfg.lr_initial) * (steps / total)
+            lr = cfg.lr_initial + (LR_FINAL - cfg.lr_initial) * (steps / total)
             draws = np.searchsorted(noise_cdf, rng.random((len(center), cfg.negatives)))
             targets = np.column_stack((context, np.minimum(draws, len(terms) - 1)))
             center_vecs, out_vecs = syn0[center], syn1[targets]
@@ -1012,7 +1013,7 @@ class TestTrain:
         cfg = TrainConfig(dim=4, epochs=3, min_count=1)
         model = train(corpus_from_token_lists([["x", "x"]] * 50), cfg)
         n_pairs, total = 100, 300
-        lr = cfg.lr_initial + (cfg.lr_final - cfg.lr_initial) * np.arange(total) / total
+        lr = cfg.lr_initial + (LR_FINAL - cfg.lr_initial) * np.arange(total) / total
         syn0 = (np.random.default_rng(cfg.rng_seed).random(4) - 0.5) / 4
         syn1 = np.zeros(4)
         for start in range(0, total, n_pairs):
@@ -1168,14 +1169,19 @@ class TestTrainConfig:
             {"negatives": -1},
             {"epochs": 0},
             {"min_count": 0},
-            {"lr_final": 0.0},
-            {"lr_final": 0.5, "lr_initial": 0.1},
+            {"lr_initial": 0.0},
+            {"lr_initial": LR_FINAL / 2},
             {"lr_initial": math.inf},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    def test_initial_rate_below_the_final_one_refused_naming_it(self):
+        with pytest.raises(ValueError, match=re.escape(f"lr_initial must be >= {LR_FINAL}")):
+            TrainConfig(lr_initial=LR_FINAL / 2)
+        assert TrainConfig(lr_initial=LR_FINAL).lr_initial == LR_FINAL
 
     @pytest.mark.parametrize(
         "name, value",

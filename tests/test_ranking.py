@@ -52,7 +52,7 @@ class TestScoreDocument:
 
     def test_rows_found_in_python_string_order(self):
         # numpy compares "a\x00" equal to "a", so a numpy search would score "a" in its place
-        docs = tuple(ItemDocument.create(doc_id, date(2018, 2, 1), "", title)
+        docs = tuple(ItemDocument(doc_id, date(2018, 2, 1), "", title)
                      for doc_id, title in (("b", "y"), ("a\x00", "x x y"), ("a", "x")))
         index = build_index(MonthlyCorpus((2018, 2), docs))
         query = ExpandedQuery(("x",), {"y": 0.7})
@@ -155,7 +155,7 @@ class TestRetrieve:
     def test_ties_follow_python_string_order(self):
         # numpy compares "a\x00" equal to "a"; Python, and retrieve, put it after
         ids = ["\u00e9", "a\x00", "b", "a", "\u4e00"]
-        docs = tuple(ItemDocument.create(i, date(2018, 2, 1), "", "x y") for i in ids)
+        docs = tuple(ItemDocument(i, date(2018, 2, 1), "", "x y") for i in ids)
         index = build_index(MonthlyCorpus((2018, 2), docs))
         for scorer in (TfIdf(), Bm25()):
             results = retrieve(index, ExpandedQuery(("x",), {"y": 0.7}), scorer)

@@ -40,7 +40,7 @@ def corpus_from_token_lists(token_lists, month=(2018, 2)):
     """MonthlyCorpus whose doc titles are exactly the given token lists."""
     year, mon = month
     docs = tuple(
-        ItemDocument.create(f"d{i:04d}", date(year, mon, 1 + i % 28), "", " ".join(tokens))
+        ItemDocument(f"d{i:04d}", date(year, mon, 1 + i % 28), "", " ".join(tokens))
         for i, tokens in enumerate(token_lists)
     )
     return MonthlyCorpus((year, mon), docs)
@@ -107,7 +107,7 @@ def random_docs(rng, n_docs, pool=WORD_POOL, month=(2018, 2)):
         title = " ".join(str(w) for w in rng.choice(pool, size=int(rng.integers(2, 11))))
         category = str(rng.choice(pool))
         docs.append(
-            ItemDocument.create(
+            ItemDocument(
                 f"d{i:03d}", date(year, mon, int(rng.integers(1, 29))), category, title
             )
         )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import date
+from datetime import date, datetime
 from typing import Iterable
 
 from .errors import DuplicateDocumentId
@@ -82,9 +82,9 @@ class ItemDocument:
 
 @dataclass(frozen=True)
 class MonthlyCorpus:
-    """Documents sold within one calendar month, the unit of training and indexing, and the one
-    statement of a partition's rules: month_key is two ints, not bools, that YYYY-MM writes and
-    reads back, doc_ids are unique (else DuplicateDocumentId), and every document is dated in it."""
+    """Documents sold within one calendar month, the unit of training and indexing, stating its
+    rules: month_key is two ints, not bools, that YYYY-MM writes and reads back, doc_ids are
+    unique (else DuplicateDocumentId), and each sold_date is a date in it, not a datetime."""
 
     month_key: MonthKey
     documents: tuple[ItemDocument, ...]
@@ -98,11 +98,16 @@ class MonthlyCorpus:
             counts = Counter(doc.doc_id for doc in self.documents)
             dupes = [doc_id for doc_id, n in counts.items() if n > 1]
             raise DuplicateDocumentId(f"duplicate doc_ids in {month}: {dupes}")
+
+        def fault(sold) -> str:  # a datetime is a date, but save_index would write its time too
+            if isinstance(sold, datetime) or not isinstance(sold, date):
+                return f"has sold_date {sold!r}, not a date"
+            in_month = (sold.year, sold.month) == key
+            return "" if in_month else f"dated {sold.isoformat()} outside partition {month}"
         for sold in {doc.sold_date for doc in self.documents}:  # each distinct date once
-            if (sold.year, sold.month) != self.month_key:
-                doc = next(doc for doc in self.documents if doc.month_key != self.month_key)
-                raise ValueError(f"document {doc.doc_id!r} dated {doc.sold_date.isoformat()} "
-                                 f"outside partition {month}")
+            if fault(sold):  # name the first document, in order, at fault
+                doc = next(doc for doc in self.documents if fault(doc.sold_date))
+                raise ValueError(f"document {doc.doc_id!r} {fault(doc.sold_date)}")
 
     def __len__(self) -> int:
         return len(self.documents)

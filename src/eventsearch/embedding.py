@@ -70,6 +70,8 @@ class TrainConfig:
             object.__setattr__(self, name, value := _integer(name, getattr(self, name)))
             if value < bound:
                 raise ValueError(f"{name} must be >= {bound}, got {value}")
+        if self.rng_seed >= 2**64:  # the generator's state is one uint64
+            raise ValueError(f"rng_seed must be < 2**64, got {self.rng_seed}")
         if not LR_FINAL <= self.lr_initial:
             raise ValueError(f"lr_initial must be >= {LR_FINAL}, the final learning rate, "
                              f"got {self.lr_initial}")
@@ -249,6 +251,29 @@ class _NoiseTable:
         return draws
 
 
+_GAMMA, _MIX1, _MIX2 = map(np.uint64, (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+_S11, _S27, _S30, _S31 = map(np.uint64, (11, 27, 30, 31))
+
+
+class _SplitMix64:
+    """SplitMix64 (Steele, Lea & Flood, 2014) over a counter: draw i (1, 2, ... over its life) is
+    mix(mix(seed) + i * gamma)'s top 53 bits over 2**53; random(shape) continues the stream."""
+
+    def __init__(self, seed: int):
+        self.state, self.drawn = self._mix(np.array([seed], np.uint64)), 0
+
+    def random(self, shape) -> np.ndarray:
+        self.drawn += (n := math.prod(shape))
+        i = np.arange(self.drawn - n + 1, self.drawn + 1, dtype=np.uint64)
+        return ((self._mix(self.state + i * _GAMMA) >> _S11) * 2.0**-53).reshape(shape)
+
+    @staticmethod
+    def _mix(z: np.ndarray) -> np.ndarray:  # the finalizer; uint64 array arithmetic wraps silently
+        z = (z ^ (z >> _S30)) * _MIX1
+        z = (z ^ (z >> _S27)) * _MIX2
+        return z ^ (z >> _S31)
+
+
 def train(corpus: MonthlyCorpus, cfg: TrainConfig | None = None) -> EmbeddingModel:
     """Train skip-gram-with-negative-sampling vectors on one month of titles.
 
@@ -279,7 +304,7 @@ def train(corpus: MonthlyCorpus, cfg: TrainConfig | None = None) -> EmbeddingMod
         raise NoTrainingPairs("window over the corpus yields no (center, context) pairs")
 
     noise = _NoiseTable(np.cumsum(negative_sampling_distribution([counts[t] for t in terms])))
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = _SplitMix64(cfg.rng_seed)
     V = len(terms)
     weights = np.r_[(rng.random((V, cfg.dim)) - 0.5) / cfg.dim, np.zeros((V, cfg.dim))]
 

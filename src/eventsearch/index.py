@@ -75,9 +75,9 @@ def save_index(index: InvertedIndex, dest: PathOrFile) -> None:
 
     Line 1 is "INDEXv2 <year>-<month> N"; then one "D" line per document with its tokens,
     prefixed by how many of them came from the category. Postings are not stored: load_index
-    rebuilds them from the tokens. Every line written loads back if each sold_date is a date, not
-    a datetime: a doc_id that is empty or holds whitespace raises FormatError before dest is
-    touched, the MonthlyCorpus dated each document in its month, ItemDocument derived its tokens.
+    rebuilds them from the tokens. Every line written loads back: a doc_id that is empty or holds
+    whitespace raises FormatError before dest is touched, the MonthlyCorpus dated each document
+    in its month by a date, not a datetime, and ItemDocument derived its tokens.
     """
     for doc_id in index.doc_store:
         if not FIELD.fullmatch(doc_id):

@@ -84,3 +84,23 @@ def oracle_expand(vectors, seed_terms, stopwords, k, min_sim):
         j: max(hand_cosine(vectors[j], vectors[m]) for m in in_vocab) for j in candidates
     }
     return per_seed, weights
+
+
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64_mix(z):
+    """SplitMix64's finalizer on a Python int, each product masked back to 64 bits."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def splitmix64_doubles(seed):
+    """The endless stream of doubles in [0, 1) that SplitMix64 (Steele, Lea & Flood, 2014)
+    seeded with mix(seed) yields, as the algorithm is usually written: add gamma to the state,
+    mix it, keep the top 53 bits."""
+    state = splitmix64_mix(seed)
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        yield (splitmix64_mix(state) >> 11) / 2**53

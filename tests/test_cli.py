@@ -223,6 +223,17 @@ class TestTrainCommand:
         assert err.startswith(f"eventsearch: error: {field} must be >=")
         assert list(tmp_path.iterdir()) == []
 
+    def test_seed_past_64_bits_refused_as_a_negative_seed_is(self, tmp_path, capsys):
+        with pytest.raises(ValueError) as refused:
+            TrainConfig(rng_seed=2**64)
+        code, out, err = run(
+            capsys, "train", "--input", str(tmp_path / "absent.tsv"),
+            "--output", str(tmp_path / "x.vec"), "--seed", "18446744073709551616",
+        )
+        assert (code, out) == (1, "")
+        assert err == f"eventsearch: error: {refused.value}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("message, shown", [("Unable to allocate 37.3 GiB", None),
                                                 ("", "out of memory")])
     def test_out_of_memory_is_one_line_error(self, workspace, capsys, monkeypatch, message,

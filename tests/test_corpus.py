@@ -8,7 +8,7 @@ import pickle
 import re
 import string
 from collections import Counter
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
@@ -251,6 +251,27 @@ class TestMonthlyCorpus:
         with pytest.raises(ValueError) as excinfo:
             MonthlyCorpus((2018, 2), (feb, doc, *more))
         assert str(excinfo.value) == "document 'd1' dated 2018-03-05 outside partition 2018-02"
+
+    @pytest.mark.parametrize("sold", [datetime(2018, 2, 1, 9, 30), datetime(2018, 2, 1),
+                                      "2018-02-01", None, 20180201])
+    def test_sold_date_that_is_not_a_plain_date_refused(self, sold):
+        # a datetime is a date, but save_index would write its time, which load_index refuses
+        feb = ItemDocument("d0", date(2018, 2, 1), "", "a")
+        docs = (feb, ItemDocument("d1", sold, "cat", "heart"),
+                ItemDocument("d2", datetime(2018, 2, 3), "", "b"))
+        with pytest.raises(ValueError) as excinfo:
+            MonthlyCorpus((2018, 2), docs)
+        assert str(excinfo.value) == f"document 'd1' has sold_date {sold!r}, not a date"
+
+    def test_first_document_at_fault_named_whatever_its_fault(self):
+        stray = ItemDocument("d1", date(2018, 3, 1), "", "a")
+        timed = ItemDocument("d2", datetime(2018, 2, 2), "", "a")
+        timed_fault = f"'d2' has sold_date {timed.sold_date!r}, not a date"
+        for docs, fault in [((stray, timed), "'d1' dated 2018-03-01 outside partition 2018-02"),
+                            ((timed, stray), timed_fault)]:
+            with pytest.raises(ValueError) as excinfo:
+                MonthlyCorpus((2018, 2), docs)
+            assert str(excinfo.value) == f"document {fault}"
 
     @pytest.mark.parametrize("key", [(2018, 13), (2018, 0), (12345, 1), (-1, 1), (2018, 2.0),
                                      [2018, 2], (2018, 2, 1), (2018,), None, ("2018", 2),

@@ -7,6 +7,7 @@ import math
 import re
 import tracemalloc
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,7 @@ from eventsearch.expansion import StopwordList, expand_query
 from eventsearch.index import build_index
 from eventsearch.ranking import retrieve
 
+from oracle import splitmix64_doubles
 from util import (
     DRIFT_CONFIG,
     Unseekable,
@@ -847,6 +849,18 @@ class TestScatterPlan:
             assert got.tobytes() == want.tobytes()
 
 
+class ReferenceRng:
+    """random(shape) reads the next doubles of one splitmix64_doubles stream, as train's
+    generator is to."""
+
+    def __init__(self, seed):
+        self.stream = splitmix64_doubles(seed)
+
+    def random(self, shape):
+        draws = list(islice(self.stream, math.prod(shape)))
+        return np.array(draws, dtype=np.float64).reshape(shape)
+
+
 def reference_train(corpus, cfg):
     """(terms, matrix) from a trainer that draws, ramps and sorts anew for every batch."""
     counts = Counter(t for doc in corpus.documents for t in doc.tokens)
@@ -856,7 +870,7 @@ def reference_train(corpus, cfg):
     centers, contexts = _pairs(sentences, cfg.window)
 
     noise_cdf = np.cumsum(negative_sampling_distribution([counts[t] for t in terms]))
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = ReferenceRng(cfg.rng_seed)
     syn0 = (rng.random((len(terms), cfg.dim)) - 0.5) / cfg.dim
     syn1 = np.zeros_like(syn0)
 
@@ -981,20 +995,31 @@ class TestTrainMatchesPerBatchReference:
     @pytest.mark.parametrize("n_docs, epochs", [(20, 1), (2048, 3), (2049, 2), (4500, 2)])
     def test_draws_once_per_block_of_4096_pairs(self, monkeypatch, n_docs, epochs):
         draws = []
-        default_rng = np.random.default_rng
 
-        class CountingRng:
-            def __init__(self, seed):
-                self.rng = default_rng(seed)
+        class CountingRng(embedding._SplitMix64):
+            def random(self, shape):
+                draws.append(shape)
+                return super().random(shape)
 
-            def random(self, size):
-                draws.append(size)
-                return self.rng.random(size)
-
-        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        monkeypatch.setattr(embedding, "_SplitMix64", CountingRng)
         train(pair_corpus(n_docs), TrainConfig(dim=4, window=1, epochs=epochs, min_count=1))
         # one draw for the initial vectors, then one per block of 64 batches in each epoch
         assert len(draws) == 1 + epochs * math.ceil(2 * n_docs / 4096)
+
+
+class TestSplitMix64:
+    @pytest.mark.parametrize("seed", [0, 1, 41, 2**63, 2**64 - 1])
+    def test_draws_equal_the_reference(self, seed):
+        want = list(islice(splitmix64_doubles(seed), 1000))
+        assert embedding._SplitMix64(seed).random((1000,)).tolist() == want
+
+    @pytest.mark.parametrize("seed", [0, 41, 2**64 - 1])
+    def test_one_stream_across_calls(self, seed):
+        rng = embedding._SplitMix64(seed)
+        first, second = rng.random((3,)), rng.random((2, 4))
+        assert (first.shape, second.shape) == ((3,), (2, 4))
+        want = list(islice(splitmix64_doubles(seed), 11))
+        assert first.tolist() + second.ravel().tolist() == want
 
 
 class TestTrain:
@@ -1014,7 +1039,7 @@ class TestTrain:
         model = train(corpus_from_token_lists([["x", "x"]] * 50), cfg)
         n_pairs, total = 100, 300
         lr = cfg.lr_initial + (LR_FINAL - cfg.lr_initial) * np.arange(total) / total
-        syn0 = (np.random.default_rng(cfg.rng_seed).random(4) - 0.5) / 4
+        syn0 = (ReferenceRng(cfg.rng_seed).random((4,)) - 0.5) / 4
         syn1 = np.zeros(4)
         for start in range(0, total, n_pairs):
             for lo in range(0, n_pairs, BATCH_PAIRS):
@@ -1094,14 +1119,15 @@ GOLDEN_CORPUS = Path(__file__).parent / "golden" / "corpus.tsv"
 
 def test_golden_month_trains_to_pinned_bits(tmp_path):
     # The per-batch reference shares numpy's primitives with train, so only a stored value
-    # shows drift from the vectors train has written before. The value is from numpy 2.4.6;
-    # a numpy upgrade that moves einsum's last bits regenerates it, with a CHANGES.md note.
+    # shows drift from the vectors train has written before. The value is from numpy 2.4.6 and
+    # the SplitMix64 stream; a numpy upgrade that moves einsum's last bits, or a new stream,
+    # regenerates it, with a CHANGES.md note.
     lines = GOLDEN_CORPUS.read_text(encoding="utf-8").splitlines()
     month = {c.month_key: c for c in segment_by_month(ingest(lines).documents)}[(2018, 2)]
     save_vectors(train(month, TrainConfig(dim=8, epochs=3, min_count=1, rng_seed=7)),
                  tmp_path / "2018-02.vec")
     digest = hashlib.sha256((tmp_path / "2018-02.vec").read_bytes()).hexdigest()
-    assert digest == "79cc097b27278cf741cc367697fe4bab3876ca375519dd0139d14eb2ffc327d2"
+    assert digest == "df4641cb6ac001237c61cb667c765ea0c343fdfb895621001bc37dab9ae8cb4e"
 
 
 @st.composite
@@ -1191,6 +1217,11 @@ class TestTrainConfig:
     def test_non_integer_or_negative_field_named(self, name, value):
         with pytest.raises(ValueError, match=name):
             TrainConfig(**{name: value})
+
+    def test_seed_past_64_bits_refused_naming_the_bound(self):
+        with pytest.raises(ValueError, match=re.escape(f"rng_seed must be < 2**64, got {2**64}")):
+            TrainConfig(rng_seed=2**64)
+        assert TrainConfig(rng_seed=2**64 - 1).rng_seed == 2**64 - 1
 
     def test_numpy_integers_accepted_as_python_ints(self):
         # 1600 pairs: with a uint8 epochs, n_pairs * epochs would overflow
